@@ -2,6 +2,7 @@
 
 from .api import RankBreakdown, count_bracelets, rank_bracelet, unrank_bracelet
 from .enclosing import build_SE, rank_enclosing
+from .errors import InternalError
 from .necklace import count_all_rotations_geq, count_lyndon_below, rank_necklaces
 from .oracle import (
     BudgetExceededError,
@@ -55,6 +56,7 @@ __all__ = [
     "floor_necklace",
     "ge",
     "gs",
+    "InternalError",
     "is_necklace",
     "is_palindromic_necklace",
     "lyndon_prefix_length",

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enclosing import rank_enclosing
+from .errors import check
 from .necklace import rank_necklaces
 from .palindromic import rank_palindromic
-from .words import min_rotation
+from .words import alphabet_size, as_index, min_rotation, validate_word
 
 
 @dataclass(frozen=True)
@@ -37,32 +38,22 @@ class RankBreakdown:
     mirror_adjust: int = 0
 
 
-def _validate(word, k):
-    word = tuple(word)
-    if len(word) == 0:
-        raise ValueError("empty word")
-    if k < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if any(not isinstance(x, int) or x < 0 or x >= k for x in word):
-        raise ValueError("symbol index out of range for alphabet")
-    return word
-
-
 def rank_bracelet(word, k: int) -> RankBreakdown:
     """Rank of word over all bracelets of its length (0-based)."""
-    word = _validate(word, k)
+    word, k = validate_word(word, k)
     n = len(word)
     rn = rank_necklaces(word, k)
     rp = rank_palindromic(word, k)
     re = rank_enclosing(word, k)
     adj = 1 if min_rotation(word) == word and min_rotation(word[::-1]) < word else 0
     total = rn + rp + re + adj
-    assert total % 2 == 0, "rank components out of parity"
+    check(total % 2 == 0, f"rank components out of parity: rn={rn} rp={rp} re={re} adj={adj}")
     return RankBreakdown(word, n, k, rn, rp, re, total // 2, adj)
 
 
 def count_bracelets(n: int, k: int) -> int:
     """Total number of bracelets of length n over k symbols."""
+    n, k = as_index(n, "length"), alphabet_size(k)
     if n < 1:
         raise ValueError("n >= 1 required")
     top = ((k - 1),) * n
@@ -72,9 +63,9 @@ def count_bracelets(n: int, k: int) -> int:
 def unrank_bracelet(z: int, n: int, k: int) -> tuple:
     """The bracelet representative of rank z (0-based) among bracelets of
     length n, built symbol by symbol with a binary search per position."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    total = count_bracelets(n, k)
+    z = as_index(z, "rank")
+    total = count_bracelets(n, k)  # checks n and k
+    n, k = as_index(n), as_index(k)
     if not 0 <= z < total:
         raise ValueError(f"rank {z} out of range [0, {total})")
     prefix = ()
@@ -89,5 +80,5 @@ def unrank_bracelet(z: int, n: int, k: int) -> tuple:
             else:
                 hi = mid - 1
         prefix += (lo,)
-    assert rank_bracelet(prefix, k).rb == z
+    check(rank_bracelet(prefix, k).rb == z, f"unrank({z}) re-ranks differently")
     return prefix

@@ -4,15 +4,20 @@ For a pattern v of length n, S(v, l) is the lexicographically sorted,
 deduplicated set of cyclic subwords of v of length l.  A word w (|w| = l,
 w not itself a subword) is *strictly bounded* by the largest subword
 s in S(v, l) with s < w; no subword lies in (s, w].  The tables built here
-answer, in O(1) after precomputation, how that bound evolves when a symbol
-is appended or prepended to w, which is what every counting DP in this
+answer, memoised on first use, how that bound evolves when a symbol is
+appended or prepended to w, which is what every counting DP in this
 package runs on.
 
-Bound states used throughout:
+Bound states:
   EMPTY        the empty word (length 0)
   BOTTOM       below every subword of its length
   ('e', i)     equals subword i of its length exactly
   ('s', i)     strictly bounded by subword i of its length
+
+The DPs run on one integer code per state.  At length l, with
+S_l = len(S(v, l)), code 0 is BOTTOM (EMPTY at l = 0), 1+i is ('s', i) and
+1+S_l+i is ('e', i).  Transitions on codes are memoised in flat arrays and
+filled on first use; the tuple-state methods are views over them.
 """
 
 from __future__ import annotations
@@ -36,6 +41,13 @@ class SubwordTable:
         delta[j][x]: longest-suffix-matching-prefix automaton of p
         fail, chain, thresh: failure links, border chains, and the minimal
             next symbol that avoids creating a suffix below a prefix of p
+        size[l], width[l]: S_l and the number of codes (1 + 2*S_l) at length l
+        rotations, joint: the rotation-DP and joint-DP results, computed once
+            per table by the necklace and enclosing modules
+
+    Tables are shared through cached_table and fill their transition memos
+    lazily.  Every memo entry and DP result is a pure function of (p, k):
+    concurrent users can at worst compute one twice and store equal values.
     """
 
     def __init__(self, p, k: int):
@@ -89,22 +101,43 @@ class SubwordTable:
                 if m < n and p[m] > t:
                     t = p[m]
             self.thresh[j] = t
-        self._app_cache = {}
-        self._pre_cache = {}
+        # the transition from code c at length l on symbol x sits at
+        # base[l] + c*k + x of the append/prepend memo, -1 until first use
+        self.size = [0] + [len(s) for s in self.sub[1:]]
+        self.width = [1] + [1 + 2 * s for s in self.size[1:]]
+        self.base = [0] * (n + 1)
+        for l in range(n):
+            self.base[l + 1] = self.base[l] + self.width[l] * k
+        self._app_cache = [-1] * self.base[n]
+        self._pre_cache = [-1] * self.base[n]
+        self.rotations = self.joint = None
 
-    # ---- value-level lookups ----
+    # ---- codes and their tuple views ----
 
-    def value(self, l: int, i: int):
-        return self.sub[l][i]
+    def code_of(self, st, l: int) -> int:
+        if st == BOTTOM or st == EMPTY:
+            return 0
+        kind, i = st
+        return 1 + i + (self.size[l] if kind == 'e' else 0)
 
-    def weak_bound(self, val):
-        """State of the word val: exact id if val is a subword, otherwise
-        the strict bound (largest subword < val), BOTTOM if none."""
+    def state_of(self, code: int, l: int):
+        if code == 0:
+            return EMPTY if l == 0 else BOTTOM
+        if code > self.size[l]:
+            return ('e', code - 1 - self.size[l])
+        return ('s', code - 1)
+
+    def weak_code(self, val) -> int:
+        """Code of the word val: exact if val is a subword, otherwise the
+        strict bound (largest subword < val), BOTTOM if none."""
         vals = self.sub[len(val)]
         i = bisect_right(vals, val)
         if i and vals[i - 1] == val:
-            return ('e', i - 1)
-        return ('s', i - 1) if i else BOTTOM
+            return self.size[len(val)] + i
+        return i
+
+    def weak_bound(self, val):
+        return self.state_of(self.weak_code(val), len(val))
 
     def match_state(self, val) -> int:
         """Automaton state after reading val: longest suffix of val that is
@@ -116,87 +149,61 @@ class SubwordTable:
 
     # ---- bound-state transitions ----
 
-    def append_bound(self, st, x: int, l: int):
-        """Bound state of w.x at length l+1, given the state st of w at
-        length l.  Correct for every w in the class described by st."""
-        key = (st, x, l)
-        r = self._app_cache.get(key)
-        if r is None:
-            r = self._append(st, x, l)
-            self._app_cache[key] = r
+    def append_code(self, l: int, code: int, x: int) -> int:
+        """Code of w.x at length l+1, given the code of w at length l.
+        Correct for every w in the class the code describes."""
+        i = self.base[l] + code * self.k + x
+        r = self._app_cache[i]
+        if r < 0:
+            r = self._app_cache[i] = self._append(l, code, x)
         return r
+
+    def prepend_code(self, l: int, code: int, x: int) -> int:
+        """Code of x.w at length l+1, given the code of w at length l."""
+        i = self.base[l] + code * self.k + x
+        r = self._pre_cache[i]
+        if r < 0:
+            r = self._pre_cache[i] = self._prepend(l, code, x)
+        return r
+
+    def append_bound(self, st, x: int, l: int):
+        """Tuple-state view of append_code: the state of w.x at length l+1."""
+        return self.state_of(self.append_code(l, self.code_of(st, l), x), l + 1)
 
     def prepend_bound(self, st, x: int, l: int):
-        """Bound state of x.w at length l+1, given the state of w."""
-        key = (st, x, l)
-        r = self._pre_cache.get(key)
-        if r is None:
-            r = self._prepend(st, x, l)
-            self._pre_cache[key] = r
-        return r
+        """Tuple-state view of prepend_code: the state of x.w."""
+        return self.state_of(self.prepend_code(l, self.code_of(st, l), x), l + 1)
 
-    def _append(self, st, x, l):
-        if st == EMPTY:
-            return self.weak_bound((x,))
-        if st == BOTTOM:
-            # subwords above w stay above w.x; none is <=
-            return BOTTOM
-        kind, i = st
-        if kind == 'e':
-            ext = self.p + self.p
-            pos = self.pos_id[l]
-            for s0 in range(self.n):
-                if pos[s0] == i and ext[s0 + l] == x:
-                    return ('e', self.pos_id[l + 1][s0])
-            return _strict(self.weak_bound(self.sub[l][i] + (x,)))
+    def _append(self, l, code, x):
+        if l == 0:
+            return self.weak_code((x,))
+        if code == 0:
+            return 0  # subwords above w stay above w.x; none is <=
+        if code > self.size[l]:
+            return self.weak_code(self.sub[l][code - 1 - self.size[l]] + (x,))
         # strictly bounded: the bound of w.x is the largest subword whose
-        # l-prefix is <= the bounding value, independently of x
-        val = self.sub[l][i]
-        vals = self.sub[l + 1]
-        lo, hi = 0, len(vals)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if vals[mid][:l] <= val:
-                lo = mid + 1
-            else:
-                hi = mid
-        return ('s', lo - 1) if lo else BOTTOM
+        # l-prefix is <= the bounding value, whatever x is (k sorts above
+        # every symbol)
+        return bisect_left(self.sub[l + 1], self.sub[l][code - 1] + (self.k,))
 
-    def _prepend(self, st, x, l):
-        if st == EMPTY:
-            return self.weak_bound((x,))
-        if st == BOTTOM:
-            # largest subword with first symbol < x
-            vals = self.sub[l + 1]
-            i = bisect_left(vals, (x,))
-            return ('s', i - 1) if i else BOTTOM
-        kind, i = st
-        val = self.sub[l][i]
-        if kind == 'e':
-            ext = self.p + self.p
-            pos = self.pos_id[l]
-            for s0 in range(self.n):
-                if pos[s0] == i and ext[(s0 - 1) % self.n] == x:
-                    return ('e', self.pos_id[l + 1][(s0 - 1) % self.n])
-            return _strict(self.weak_bound((x,) + val))
-        return _strict(self.weak_bound((x,) + val))
+    def _prepend(self, l, code, x):
+        if l == 0:
+            return self.weak_code((x,))
+        if code == 0:
+            return bisect_left(self.sub[l + 1], (x,))  # largest subword below x
+        if code > self.size[l]:
+            return self.weak_code((x,) + self.sub[l][code - 1 - self.size[l]])
+        # x.w is no subword, as w is none: an exact bound becomes strict
+        r = self.weak_code((x,) + self.sub[l][code - 1])
+        return r - self.size[l + 1] if r > self.size[l + 1] else r
 
-    def cmp_with_subword(self, st, l: int, sub_id: int) -> int:
-        """Trichotomy of a word in state st against subword sub_id at
-        length l: -1 below, 0 equal (exact states only), 1 above."""
-        if st == BOTTOM:
-            return -1
-        kind, i = st
-        if kind == 'e':
-            return -1 if i < sub_id else (0 if i == sub_id else 1)
-        return 1 if sub_id <= i else -1
-
-
-def _strict(st):
-    # the transitioned word is never a subword itself; demote exact codes
-    if st == BOTTOM:
-        return BOTTOM
-    return ('s', st[1])
+    def cmp_with_subword(self, code: int, l: int, sub_id: int) -> int:
+        """Trichotomy of a word with code at length l against subword
+        sub_id: -1 below, 0 equal (exact codes only), 1 above."""
+        if code > self.size[l]:
+            i = code - 1 - self.size[l]
+            return (i > sub_id) - (i < sub_id)
+        return 1 if sub_id < code else -1
 
 
 def build_subword_table(v, k: int) -> SubwordTable:
@@ -220,21 +227,24 @@ def bound_of(w, table: SubwordTable, strict: bool = True):
     return i - 1 if i else None
 
 
+def _strict_rows(table: SubwordTable, step) -> dict:
+    # (l, s, x) -> strict bound index after step(st, x, l), None for bottom
+    out = {}
+    for l in range(1, table.n):
+        for s in [None] + list(range(len(table.sub[l]))):
+            for x in range(table.k):
+                r = step(BOTTOM if s is None else ('s', s), x, l)
+                out[(l, s, x)] = None if r == BOTTOM else r[1]
+    return out
+
+
 def build_XW(table: SubwordTable) -> dict:
     """Prepend transitions: (l, s, x) -> bound index at length l+1.
 
     For every word w strictly bounded by subword s at length l, XW[(l, s, x)]
     strictly bounds x.w.  s = None is the bottom row; value None is bottom.
     """
-    out = {}
-    for l in range(1, table.n):
-        rows = [None] + list(range(len(table.sub[l])))
-        for s in rows:
-            st = BOTTOM if s is None else ('s', s)
-            for x in range(table.k):
-                r = table.prepend_bound(st, x, l)
-                out[(l, s, x)] = None if r == BOTTOM else r[1]
-    return out
+    return _strict_rows(table, table.prepend_bound)
 
 
 def build_WX(table: SubwordTable) -> dict:
@@ -242,15 +252,7 @@ def build_WX(table: SubwordTable) -> dict:
 
     For every word w strictly bounded by s at length l, WX[(l, s, x)]
     strictly bounds w.x (the result does not depend on x)."""
-    out = {}
-    for l in range(1, table.n):
-        rows = [None] + list(range(len(table.sub[l])))
-        for s in rows:
-            st = BOTTOM if s is None else ('s', s)
-            for x in range(table.k):
-                r = table.append_bound(st, x, l)
-                out[(l, s, x)] = None if r == BOTTOM else r[1]
-    return out
+    return _strict_rows(table, table.append_bound)
 
 
 def dump_tables(table: SubwordTable, alphabet=None) -> list:

@@ -15,9 +15,19 @@ and its reversal simultaneously.
 
 from __future__ import annotations
 
-from .bounding import BOTTOM, EMPTY, SubwordTable, cached_table
-from .necklace import _class_size, _rotation_dp, _wrap_ok, divisors, mobius
-from .words import min_rotation
+from itertools import islice
+
+from .bounding import SubwordTable, cached_table
+from .errors import check
+from .necklace import (
+    _class_size,
+    _rotation_layers,
+    _wrap_ok,
+    count_all_rotations_geq,
+    divisors,
+    mobius_quotient,
+)
+from .words import min_rotation, validate_word
 
 
 def _joint_count(table: SubwordTable) -> int:
@@ -26,74 +36,105 @@ def _joint_count(table: SubwordTable) -> int:
     Forward side: the usual (match, bound) pair for w.  Reversal side: the
     reversed prefix is a growing suffix of w^R, so its rotations are
     exposed one per appended symbol; open (still equal to a p-prefix)
-    rotations are summarized by their longest match and resolved at the
+    rotations are summarized by their longest match lm and resolved at the
     wrap, like the forward side but mirrored.
+
+    States are nested as {j: {forward bound code: {lm*W + reverse bound
+    code: count}}}, W the number of bound codes at the current length, so
+    each layer maps every distinct reverse code once per symbol, into a
+    list, and the innermost loop is a list and a dict lookup.
     """
     d, k = table.n, table.k
     p0 = table.p[0]
-    states = {(0, EMPTY, 0, EMPTY): 1}
+    delta, width, memo = table.delta, table.width, table._app_cache
+    lo = [max(x, p0) for x in table.thresh]
+    states = {0: {0: {0: 1}}}
     for t in range(d):
-        nxt = {}
+        w_cur, w_next, base = width[t], width[t + 1], table.base[t]
+        present = set()
+        for fwd in states.values():
+            for rev in fwd.values():
+                present.update(rev)
         s1 = table.pos_id[t][1 % d] if t else None  # p[2..t+1] as a subword
-        for (j, bf, lm, br), c in states.items():
-            for x in range(table.thresh[j], k):
-                if x < p0:
-                    continue
-                opened = False
+        # per symbol: reverse code -> successor, -1 where a rotation of w^R
+        # drops below p
+        rmaps, pruned = {}, False
+        for x in range(p0, k):
+            rmap = rmaps[x] = [-1] * ((t + 1) * w_cur)
+            for rc in present:
+                lm, br = divmod(rc, w_cur)
                 if x == p0:
-                    if t == 0:
-                        opened = True
-                    else:
-                        r = table.cmp_with_subword(br, t, s1)
-                        if r < 0:
-                            continue  # a rotation of w^R drops below p
-                        opened = r == 0
-                key = (
-                    table.delta[j][x],
-                    table.append_bound(bf, x, t),
-                    t + 1 if opened else lm,
-                    table.prepend_bound(br, x, t),
-                )
-                nxt[key] = nxt.get(key, 0) + c
+                    r = table.cmp_with_subword(br, t, s1) if t else 0
+                    if r < 0:
+                        pruned = True
+                        continue
+                    if r == 0:
+                        lm = t + 1  # a new rotation opens
+                rmap[rc] = lm * w_next + table.prepend_code(t, br, x)
+        nxt = {}
+        for j, fwd in states.items():
+            dj = delta[j]
+            for x in range(lo[j], k):
+                row = nxt.setdefault(dj[x], {})
+                rmap = rmaps[x]
+                for bf, rev in fwd.items():
+                    b2 = memo[base + bf * k + x]
+                    if b2 < 0:
+                        b2 = table.append_code(t, bf, x)
+                    tgt = row.get(b2)
+                    if tgt is None:
+                        tgt = row[b2] = {}
+                    for rc, c in rev.items():
+                        nrc = rmap[rc]
+                        tgt[nrc] = tgt.get(nrc, 0) + c
+        if pruned:
+            for row in nxt.values():
+                for b2, tgt in list(row.items()):
+                    tgt.pop(-1, None)
+                    if not tgt:
+                        del row[b2]
         states = nxt
+    w_cur = width[d]
+    rev_ok = {}
     total = 0
-    for (j, bf, lm, br), c in states.items():
-        if _wrap_ok(table, j, bf, False) and _wrap_ok(table, lm, br, True):
-            total += c
+    for j, fwd in states.items():
+        for bf, rev in fwd.items():
+            if not _wrap_ok(table, j, bf, False):
+                continue
+            for rc, c in rev.items():
+                ok = rev_ok.get(rc)
+                if ok is None:
+                    ok = rev_ok[rc] = _wrap_ok(table, *divmod(rc, w_cur), True)
+                if ok:
+                    total += c
     return total
-
-
-def _cmp3(a, b):
-    return -1 if a < b else (0 if a == b else 1)
 
 
 def _enclosing_word_count(v, k: int, d: int) -> int:
     """W(d) as described in the module docstring."""
     n = len(v)
     p = v[:d]
-    m = n // d
-    cp = _cmp3(p * m, v)
+    pw = p * (n // d)
     table = cached_table(tuple(p), k)
 
     # words whose reversal's rotations all exceed p (reversal is a bijection)
-    g_total = 0
-    for (j, b), c in _rotation_dp(table).items():
-        if _wrap_ok(table, j, b, True):
-            g_total += c
+    g_total = count_all_rotations_geq(p, k, strict=True)
     cls = _class_size(p)
-    if cp > 0:
+    if pw > v:
         g_total += cls
 
-    wj = _joint_count(table)
+    if table.joint is None:
+        table.joint = _joint_count(table)
+    wj = table.joint
     t2 = t3 = 0
     if cls:
         rots = {p[i:] + p[:i] for i in range(d)}
-        if cp > 0:
+        if pw > v:
             # reversed class members that also pass the forward condition
             for w in {r[::-1] for r in rots}:
                 if all(w[i:] + w[:i] >= p for i in range(d)):
                     t2 += 1
-        if cp < 0 and min_rotation(p[::-1]) > p:
+        if pw < v and min_rotation(p[::-1]) > p:
             # every class member of p satisfies the reversal condition
             t3 = cls
     return g_total - (wj + t2 - t3)
@@ -101,20 +142,12 @@ def _enclosing_word_count(v, k: int, d: int) -> int:
 
 def rank_enclosing(v, k: int) -> int:
     """Number of distinct bracelets [b] with <b> < v < <reverse(b)>."""
+    v, k = validate_word(v, k)
     n = len(v)
-    if n == 0:
-        raise ValueError("empty word")
-    if any(x < 0 or x >= k for x in v):
-        raise ValueError("symbol index out of range")
     if n == 1:
         return 0
     w = {d: _enclosing_word_count(v, k, d) for d in divisors(n)}
-    total = 0
-    for e in divisors(n):
-        acc = sum(mobius(e // d) * w[d] for d in divisors(e))
-        assert acc % e == 0
-        total += acc // e
-    return total
+    return sum(mobius_quotient(e, w.__getitem__) for e in divisors(n))
 
 
 # --- diagnostic suffix-state layers ----------------------------------------
@@ -133,22 +166,16 @@ def build_SE(v, k: int) -> dict:
     """
     n = len(v)
     table = cached_table(tuple(v), k)
-    layers = [{(0, EMPTY): 1}]
-    for t in range(n - 2):
-        cur, nxt = layers[-1], {}
-        for (j, b), c in cur.items():
-            for x in range(table.thresh[j], k):
-                key = (table.delta[j][x], table.append_bound(b, x, t))
-                nxt[key] = nxt.get(key, 0) + c
-        layers.append(nxt)
+    layers = [{0: {0: 1}}] + list(islice(_rotation_layers(table), max(0, n - 2)))
     out = {}
     for i in range(1, n):
         t = n - i - 1
-        for (j, b), c in layers[t].items():
+        for j, row in layers[t].items():
             for x in range(table.thresh[j], k):
-                b2 = table.append_bound(b, x, t)
-                assert b2 != BOTTOM
-                kind = "exact" if b2[0] == 'e' else "strict"
-                key = (x, i, table.delta[j][x], (kind, b2[1]))
-                out[key] = out.get(key, 0) + c
+                for b, c in row.items():
+                    code = table.append_code(t, b, x)
+                    check(code != 0, "an SE layer state fell to the bottom")
+                    kind, sid = table.state_of(code, t + 1)
+                    key = (x, i, table.delta[j][x], ("exact" if kind == 'e' else "strict", sid))
+                    out[key] = out.get(key, 0) + c
     return out

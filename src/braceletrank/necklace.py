@@ -9,8 +9,9 @@ count is the workhorse DP shared with the enclosing-bracelet module.
 
 from __future__ import annotations
 
-from .bounding import EMPTY, SubwordTable, cached_table
-from .words import min_rotation, period
+from .bounding import SubwordTable, cached_table
+from .errors import check
+from .words import min_rotation, period, validate_word
 
 
 def divisors(n: int) -> list:
@@ -33,33 +34,49 @@ def mobius(m: int) -> int:
     return res
 
 
-def _rotation_dp(table: SubwordTable):
-    """Distribution over final (match, bound) states of all words w of
-    length |p| whose every suffix is >= the same-length prefix of p and
-    whose every rotation is therefore undecided only at the wrap."""
-    d, k = table.n, table.k
-    states = {(0, EMPTY): 1}
-    for t in range(d):
+def _rotation_layers(table: SubwordTable):
+    """Yield, after each symbol t = 1..|p|, the distribution
+    {match state: {bound code: count}} of all words w of length t whose
+    every suffix is >= the same-length prefix of p."""
+    k, delta, thresh = table.k, table.delta, table.thresh
+    memo = table._app_cache
+    states = {0: {0: 1}}
+    for t in range(table.n):
+        base = table.base[t]
         nxt = {}
-        for (j, b), c in states.items():
-            for x in range(table.thresh[j], k):
-                key = (table.delta[j][x], table.append_bound(b, x, t))
-                nxt[key] = nxt.get(key, 0) + c
+        for j, row in states.items():
+            dj = delta[j]
+            for x in range(thresh[j], k):
+                tgt = nxt.setdefault(dj[x], {})
+                for b, c in row.items():
+                    r = memo[base + b * k + x]
+                    if r < 0:
+                        r = table.append_code(t, b, x)
+                    tgt[r] = tgt.get(r, 0) + c
         states = nxt
+        yield states
+
+
+def _rotation_dp(table: SubwordTable):
+    """Final distribution {match state: {bound code: count}} of all words w
+    of length |p| whose every suffix is >= the same-length prefix of p and
+    whose every rotation is therefore undecided only at the wrap."""
+    for states in _rotation_layers(table):
+        pass
     return states
 
 
 def _wrap_ok(table: SubwordTable, j, b, strict: bool) -> bool:
     """Resolve the wrapped rotations of a finished word against p.
 
-    For every border m of the final match state, the rotation starting at
+    For every border m of the final match state j, the rotation starting at
     that border equals p[:m] followed by the word's own prefix; comparing
-    the word with the cyclic subword of p starting at position m settles it.
+    the word (bound code b) with the cyclic subword of p starting at
+    position m settles it.
     """
     d = table.n
     for m in table.chain[j]:
-        z = table.pos_id[d][m % d]
-        r = table.cmp_with_subword(b, d, z)
+        r = table.cmp_with_subword(b, d, table.pos_id[d][m % d])
         if r < 0 or (r == 0 and strict):
             return False
     return True
@@ -68,12 +85,12 @@ def _wrap_ok(table: SubwordTable, j, b, strict: bool) -> bool:
 def count_all_rotations_geq(w, k: int, strict: bool = False) -> int:
     """Number of words u with |u| = |w| such that every rotation of u is
     >= w (or > w when strict)."""
-    table = cached_table(tuple(w), k)
-    total = 0
-    for (j, b), c in _rotation_dp(table).items():
-        if _wrap_ok(table, j, b, strict):
-            total += c
-    return total
+    w, k = validate_word(w, k)
+    table = cached_table(w, k)
+    if table.rotations is None:
+        table.rotations = _rotation_dp(table)
+    return sum(c for j, row in table.rotations.items()
+               for b, c in row.items() if _wrap_ok(table, j, b, strict))
 
 
 def _class_size(p) -> int:
@@ -97,31 +114,29 @@ def _count_min_rot_below(v, k: int, d: int) -> int:
     return g
 
 
-def count_lyndon_below(w, k: int) -> int:
-    """Number of Lyndon words of length |w| strictly smaller than w."""
-    e = len(w)
-    if e == 0:
-        raise ValueError("empty word")
+def mobius_quotient(e: int, term) -> int:
+    """(1/e) * sum over d | e of mobius(e/d) * term(d): the classes of
+    smallest period e among those whose words term(d) counts per length d.
+    term is called only where the Mobius factor is non-zero; a division
+    that is not exact raises InternalError."""
     total = 0
     for d in divisors(e):
         mu = mobius(e // d)
         if mu:
-            total += mu * _count_min_rot_below(w, k, d)
-    assert total % e == 0
+            total += mu * term(d)
+    check(total % e == 0, f"Mobius sum {total} not divisible by {e}")
     return total // e
+
+
+def count_lyndon_below(w, k: int) -> int:
+    """Number of Lyndon words of length |w| strictly smaller than w."""
+    w, k = validate_word(w, k)
+    return mobius_quotient(len(w), lambda d: _count_min_rot_below(w, k, d))
 
 
 def rank_necklaces(v, k: int) -> int:
     """Number of necklace representatives of length |v| strictly below v."""
+    v, k = validate_word(v, k)
     n = len(v)
-    if n == 0:
-        raise ValueError("empty word")
-    if any(x < 0 or x >= k for x in v):
-        raise ValueError("symbol index out of range")
     g = {d: _count_min_rot_below(v, k, d) for d in divisors(n)}
-    total = 0
-    for e in divisors(n):
-        acc = sum(mobius(e // d) * g[d] for d in divisors(e))
-        assert acc % e == 0
-        total += acc // e
-    return total
+    return sum(mobius_quotient(e, g.__getitem__) for e in divisors(n))

@@ -21,246 +21,173 @@ arbitrary words first, which leaves every "classes above" count unchanged.
 
 from __future__ import annotations
 
-from .bounding import BOTTOM, SubwordTable, cached_table
-from .words import floor_necklace, is_palindromic_necklace, min_rotation
-
-
-def _require_word(v, k):
-    if len(v) == 0:
-        raise ValueError("empty word")
-    if any(x < 0 or x >= k for x in v):
-        raise ValueError("symbol index out of range")
+from .bounding import SubwordTable, cached_table
+from .errors import check
+from .words import floor_necklace, is_palindromic_necklace, min_rotation, validate_word
 
 
 def _palindromic_ids(table: SubwordTable, l: int) -> list:
     return [i for i, val in enumerate(table.sub[l]) if val == val[::-1]]
 
 
-def _push(table, nxt, j, st, c, dl2):
-    """Add c doubled words with state st at doubled length dl2 unless they
-    became exact subwords or dipped below the v-prefix."""
-    if st == BOTTOM or st[0] == 'e':
-        return
-    if st[1] < table.prefix_id[dl2]:
-        return
-    key = (j, st[1])
-    nxt[key] = nxt.get(key, 0) + c
+def _push(table, nxt, j, code, c, dl2):
+    """Add c doubled words with bound code at doubled length dl2 unless
+    they became exact subwords, fell to the bottom or dipped below the
+    v-prefix; the key keeps the strict index."""
+    if table.prefix_id[dl2] < code <= table.size[dl2]:
+        key = (j, code - 1)
+        nxt[key] = nxt.get(key, 0) + c
 
 
-def _even_step(table, states, dl, k):
-    """Grow doubled words reverse(u).u from length dl to dl + 2."""
+def _step(table, states, dl, k):
+    """Grow doubled words by one symbol on each side, from length dl to
+    dl + 2: reverse(u).u for even dl, reverse(phi).x.phi for odd dl."""
     nxt = {}
+    delta, thresh, top = table.delta, table.thresh, table.size[dl + 2]
     for (j, sidx), c in states.items():
-        for x in range(table.thresh[j], k):
-            st = table.append_bound(('s', sidx), x, dl)
-            st = table.prepend_bound(st, x, dl + 1)
-            assert st == BOTTOM or st[0] == 's'
-            _push(table, nxt, table.delta[j][x], st, c, dl + 2)
+        for x in range(thresh[j], k):
+            st = table.prepend_code(dl + 1, table.append_code(dl, sidx + 1, x), x)
+            check(st <= top, "a strictly bounded doubled word became a subword")
+            _push(table, nxt, delta[j][x], st, c, dl + 2)
     # words whose doubled form is an exact subword feed the strict sets
     if dl == 0:
-        for x in range(table.thresh[0], k):
-            st = table.weak_bound((x, x))
-            _push(table, nxt, table.delta[0][x], st, 1, 2)
+        for x in range(thresh[0], k):
+            _push(table, nxt, delta[0][x], table.weak_code((x, x)), 1, 2)
     else:
         for e in _palindromic_ids(table, dl):
             j = table.match_state(table.sub[dl][e])
-            for x in range(table.thresh[j], k):
-                st = table.append_bound(('e', e), x, dl)
-                st = table.prepend_bound(st, x, dl + 1)
-                _push(table, nxt, table.delta[j][x], st, 1, dl + 2)
+            for x in range(thresh[j], k):
+                st = table.append_code(dl, 1 + table.size[dl] + e, x)
+                _push(table, nxt, delta[j][x], table.prepend_code(dl + 1, st, x), 1, dl + 2)
     return nxt
 
 
-def _odd_step(table, states, dl, k):
-    """Grow doubled words reverse(phi).x.phi from length dl to dl + 2."""
-    nxt = {}
-    for (j, sidx), c in states.items():
-        for y in range(table.thresh[j], k):
-            st = table.append_bound(('s', sidx), y, dl)
-            st = table.prepend_bound(st, y, dl + 1)
-            assert st == BOTTOM or st[0] == 's'
-            _push(table, nxt, table.delta[j][y], st, c, dl + 2)
-    for e in _palindromic_ids(table, dl):
-        j = table.match_state(table.sub[dl][e])
-        for y in range(table.thresh[j], k):
-            st = table.append_bound(('e', e), y, dl)
-            st = table.prepend_bound(st, y, dl + 1)
-            _push(table, nxt, table.delta[j][y], st, 1, dl + 2)
-    return nxt
-
-
-def _even_layers(table, k, final_len, sink=None):
-    states, dl = {}, 0
+def _layers(table, k, final_len, sink=None):
+    """Strict states of the doubled words of length final_len: grown from
+    the empty word reverse(u).u when final_len is even, from the single
+    symbol of reverse(phi).x.phi when odd; sink sees every layer."""
+    states, dl = {}, final_len % 2
+    if dl:
+        for x in range(table.thresh[0], k):
+            _push(table, states, table.delta[0][x], table.weak_code((x,)), 1, 1)
+        if sink is not None:
+            sink(1, states)
     while dl < final_len:
-        states = _even_step(table, states, dl, k)
+        states = _step(table, states, dl, k)
         dl += 2
         if sink is not None:
             sink(dl, states)
     return states
 
 
-def _odd_layers(table, k, final_len, sink=None):
-    states = {}
-    for x in range(table.thresh[0], k):
-        st = table.weak_bound((x,))
-        _push(table, states, table.delta[0][x], st, 1, 1)
-    if sink is not None:
-        sink(1, states)
-    dl = 1
-    while dl < final_len:
-        states = _odd_step(table, states, dl, k)
-        dl += 2
-        if sink is not None:
-            sink(dl, states)
-    return states
-
-
-def _close_one(table, j, s_or_val, exact: bool, k: int) -> int:
+def _close_one(table, j, s, exact: bool, k: int) -> int:
     """#symbols x such that inserting x opposite a doubled word of length
-    n-1 with state (j, s) yields a class strictly above v.
+    n-1 with state (j, s) yields a class strictly above v; the word equals
+    subword s when exact, else it is strictly bounded by it.
 
     Check, per border m of j plus the empty border: the rotation aligned
     there continues with x against v[m]; ties defer to comparing the
     doubled word with the cyclic subword of v following that border.
     """
     n, v = table.n, table.p
+    code = 1 + s + (table.size[n - 1] if exact else 0)
     cnt = 0
     for x in range(k):
-        ok = True
         for m in table.chain[j] + [0]:
-            c1 = -1 if x < v[m] else (0 if x == v[m] else 1)
-            if c1 > 0:
+            if x > v[m]:
                 continue
-            if c1 < 0:
-                ok = False
+            # below v, or the rotation equals v exactly
+            if x < v[m] or table.cmp_with_subword(code, n - 1, table.pos_id[n - 1][(m + 1) % n]) <= 0:
                 break
-            z = table.pos_id[n - 1][(m + 1) % n]
-            if exact:
-                zv = table.sub[n - 1][z]
-                r = -1 if s_or_val < zv else (0 if s_or_val == zv else 1)
-            else:
-                r = 1 if z <= s_or_val else -1
-            if r <= 0:
-                ok = False  # below v, or the rotation equals v exactly
-                break
-        if ok:
+        else:
             cnt += 1
     return cnt
 
 
-def _close_two(table, j, s_or_val, exact: bool, k: int) -> int:
+def _close_two(table, j, s, exact: bool, k: int) -> int:
     """#symbols z closing a doubled word of length n-2 as ..z z.. into a
     class strictly above v."""
     n, v = table.n, table.p
-
-    def against(z_id):
-        if exact:
-            zv = table.sub[n - 2][z_id]
-            return -1 if s_or_val < zv else (0 if s_or_val == zv else 1)
-        return 1 if z_id <= s_or_val else -1
-
+    code = 1 + s + (table.size[n - 2] if exact else 0)
+    pos = table.pos_id[n - 2]
     cnt = 0
     for z in range(k):
-        ok = True
         for m in table.chain[j] + [0]:
-            c1 = -1 if z < v[m] else (0 if z == v[m] else 1)
-            if c1 > 0:
+            if z > v[m]:
                 continue
-            if c1 < 0:
-                ok = False
+            if z < v[m]:
                 break
-            c2 = -1 if z < v[(m + 1) % n] else (0 if z == v[(m + 1) % n] else 1)
-            if c2 > 0:
+            if z > v[(m + 1) % n]:
                 continue
-            if c2 < 0:
-                ok = False
+            if z < v[(m + 1) % n] or table.cmp_with_subword(code, n - 2, pos[(m + 2) % n]) <= 0:
                 break
-            if against(table.pos_id[n - 2][(m + 2) % n]) <= 0:
-                ok = False
-                break
-        if ok:
+        else:
             # the rotation that starts at the second inserted z
-            c1 = -1 if z < v[0] else (0 if z == v[0] else 1)
-            if c1 < 0:
-                ok = False
-            elif c1 == 0:
-                r = against(table.pos_id[n - 2][1 % n])
-                if r < 0 or (r == 0 and z <= v[n - 1]):
-                    ok = False
-        if ok:
-            cnt += 1
+            if z > v[0]:
+                cnt += 1
+            elif z == v[0]:
+                r = table.cmp_with_subword(code, n - 2, pos[1 % n])
+                if r > 0 or (r == 0 and z > v[n - 1]):
+                    cnt += 1
     return cnt
+
+
+def _close_all(table, states, l, close, k) -> int:
+    """Closed words over the strict states of the last layer (length l)
+    plus the palindromic exact subwords of that length."""
+    total = sum(c * close(table, j, s, False, k) for (j, s), c in states.items())
+    for e in _palindromic_ids(table, l):
+        total += close(table, table.match_state(table.sub[l][e]), e, True, k)
+    return total
 
 
 def size_X(v, k: int, j: int, s: int) -> int:
     """#symbols x with v[:j] + (x,) + value(s) >= v, comparing the first
     |v| symbols; s indexes S(v, n-1)."""
-    _require_word(v, k)
+    v, k = validate_word(v, k)
     n = len(v)
-    table = cached_table(tuple(v), k)
-    sval = table.sub[n - 1][s]
-    return sum(1 for x in range(k) if (v[:j] + (x,) + sval)[:n] >= tuple(v))
+    sval = cached_table(v, k).sub[n - 1][s]
+    return sum(1 for x in range(k) if (v[:j] + (x,) + sval)[:n] >= v)
 
 
 def size_PO(v, k: int) -> int:
     """Number of words phi.x.reverse(phi) of odd length |v| whose class
     minimum is strictly above v."""
-    _require_word(v, k)
+    v, k = validate_word(v, k)
     n = len(v)
     if n % 2 == 0:
         raise ValueError("size_PO requires odd length")
-    v = floor_necklace(tuple(v), k)
+    v = floor_necklace(v, k)
     if n == 1:
         return k - 1 - v[0]
-    table = cached_table(tuple(v), k)
-    states = _even_layers(table, k, n - 1)
-    total = 0
-    for (j, sidx), c in states.items():
-        total += c * _close_one(table, j, sidx, False, k)
-    for e in _palindromic_ids(table, n - 1):
-        val = table.sub[n - 1][e]
-        total += _close_one(table, table.match_state(val), val, True, k)
-    return total
+    table = cached_table(v, k)
+    return _close_all(table, _layers(table, k, n - 1), n - 1, _close_one, k)
 
 
 def size_PE(v, k: int) -> int:
     """Number of words x.phi.y.reverse(phi) of even length |v| whose class
     minimum is strictly above v."""
-    _require_word(v, k)
+    v, k = validate_word(v, k)
     n = len(v)
     if n % 2 == 1:
         raise ValueError("size_PE requires even length")
-    v = floor_necklace(tuple(v), k)
-    table = cached_table(tuple(v), k)
-    states = _odd_layers(table, k, n - 1)
-    total = 0
-    for (j, sidx), c in states.items():
-        total += c * _close_one(table, j, sidx, False, k)
-    for e in _palindromic_ids(table, n - 1):
-        val = table.sub[n - 1][e]
-        total += _close_one(table, table.match_state(val), val, True, k)
-    return total
+    v = floor_necklace(v, k)
+    table = cached_table(v, k)
+    return _close_all(table, _layers(table, k, n - 1), n - 1, _close_one, k)
 
 
 def size_PS(v, k: int) -> int:
     """Number of words phi.reverse(phi) of even length |v| whose class
     minimum is strictly above v."""
-    _require_word(v, k)
+    v, k = validate_word(v, k)
     n = len(v)
     if n % 2 == 1:
         raise ValueError("size_PS requires even length")
-    v = floor_necklace(tuple(v), k)
+    v = floor_necklace(v, k)
     if n == 2:
         return sum(1 for z in range(k) if (z, z) > v)
-    table = cached_table(tuple(v), k)
-    states = _even_layers(table, k, n - 2)
-    total = 0
-    for (j, sidx), c in states.items():
-        total += c * _close_two(table, j, sidx, False, k)
-    for e in _palindromic_ids(table, n - 2):
-        val = table.sub[n - 2][e]
-        total += _close_two(table, table.match_state(val), val, True, k)
-    return total
+    table = cached_table(v, k)
+    return _close_all(table, _layers(table, k, n - 2), n - 2, _close_two, k)
 
 
 def _odd_part(n: int) -> int:
@@ -278,9 +205,9 @@ def odd_period_palindromic_above(v, k: int) -> int:
     (n / q)-th powers of the odd-length palindromic classes of length
     q = odd part of n.
     """
-    _require_word(v, k)
+    v, k = validate_word(v, k)
     n = len(v)
-    w = floor_necklace(tuple(v), k)
+    w = floor_necklace(v, k)
     q = _odd_part(n)
     if q == 1:
         return k - 1 - w[0]
@@ -291,7 +218,7 @@ def ge(v, k: int) -> int:
     """Number of classes above v containing a word x.phi.y.reverse(phi)."""
     pe = size_PE(v, k)
     b = odd_period_palindromic_above(v, k)
-    assert (pe + b) % 2 == 0
+    check((pe + b) % 2 == 0, "size_PE and the odd-period term out of parity")
     return (pe + b) // 2
 
 
@@ -299,13 +226,13 @@ def gs(v, k: int) -> int:
     """Number of classes above v containing a word phi.reverse(phi)."""
     ps = size_PS(v, k)
     b = odd_period_palindromic_above(v, k)
-    assert (ps + b) % 2 == 0
+    check((ps + b) % 2 == 0, "size_PS and the odd-period term out of parity")
     return (ps + b) // 2
 
 
 def _greater_even(v, k: int) -> int:
     pe, ps = size_PE(v, k), size_PS(v, k)
-    assert (pe + ps) % 2 == 0
+    check((pe + ps) % 2 == 0, "size_PE and size_PS out of parity")
     return (pe + ps) // 2
 
 
@@ -319,7 +246,7 @@ def even_palindromic_closed_form(n: int, k: int) -> int:
         raise ValueError("even lengths only")
     l = (n + 2) // 4 if (n // 2) % 2 == 1 else n // 4
     num = k ** (n // 2) * (k + 2) + k ** l
-    assert num % 2 == 0
+    check(num % 2 == 0, "closed-form numerator is odd")
     return num // 2 - k
 
 
@@ -334,15 +261,9 @@ def total_palindromic(n: int, k: int) -> int:
     return _greater_even((0,) * n, k) + 1
 
 
-def is_palindromic_rep(v) -> bool:
-    """True iff v is the representative of a palindromic necklace."""
-    return min_rotation(tuple(v)) == tuple(v) and is_palindromic_necklace(tuple(v))
-
-
 def rank_palindromic(v, k: int) -> int:
     """Number of palindromic necklace representatives strictly below v."""
-    _require_word(v, k)
-    v = tuple(v)
+    v, k = validate_word(v, k)
     n = len(v)
     if n == 1:
         return v[0]
@@ -370,7 +291,7 @@ def po_layer_counts(v, k: int) -> dict:
         for (j, sidx), c in states.items():
             out[(dl // 2, j, sidx)] = c
 
-    _even_layers(table, k, len(v) - 1 if len(v) % 2 else len(v) - 2, sink)
+    _layers(table, k, len(v) - 1 if len(v) % 2 else len(v) - 2, sink)
     return out
 
 
@@ -386,7 +307,7 @@ def pe_layer_counts(v, k: int) -> dict:
         for (j, sidx), c in states.items():
             out[((dl + 1) // 2, j, sidx)] = c
 
-    _odd_layers(table, k, len(v) - 1, sink)
+    _layers(table, k, len(v) - 1, sink)
     return out
 
 

@@ -6,6 +6,7 @@ size k.  All functions are pure and all values immutable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 Word = tuple  # tuple of ints, each < k
@@ -57,6 +58,41 @@ def canonical_forms(w: Word) -> CanonicalForms:
     nr = min_rotation(w)
     mr = min_rotation(w[::-1])
     return CanonicalForms(nr, min(nr, mr), period(w), nr == mr)
+
+
+def _require_integer_type(t, what: str):
+    if t is bool or not hasattr(t, "__index__"):
+        raise TypeError(f"{what} must be an integer, not {t.__name__}")
+
+
+def as_index(x, what: str = "symbol") -> int:
+    """x as a Python int through operator.index, so numpy integers pass;
+    bools and non-integers such as floats raise TypeError."""
+    _require_integer_type(type(x), what)
+    return operator.index(x)
+
+
+def alphabet_size(k) -> int:
+    k = as_index(k, "alphabet size")
+    if k < 1:
+        raise ValueError("alphabet size must be >= 1")
+    return k
+
+
+def validate_word(word, k):
+    """The input check of every public entry point that takes a word:
+    returns (word, k) with k an int >= 1 and word a non-empty tuple of ints
+    in range(k), symbols checked as by as_index."""
+    k = alphabet_size(k)
+    word = tuple(word)
+    if not word:
+        raise ValueError("empty word")
+    for t in set(map(type, word)):
+        _require_integer_type(t, "symbol")
+    word = tuple(map(operator.index, word))
+    if min(word) < 0 or max(word) >= k:
+        raise ValueError("symbol index out of range for alphabet")
+    return word, k
 
 
 def _check_nonempty(w: Word):
@@ -186,16 +222,7 @@ def _failure(v: Word) -> list:
 def is_prenecklace(w: Word) -> bool:
     """True iff w is a prefix of some necklace, i.e. no suffix of w is
     smaller than the prefix of w of the same length."""
-    if len(w) == 0:
-        return True
-    l = 1
-    for t in range(1, len(w)):
-        c = w[t - l]
-        if w[t] < c:
-            return False
-        if w[t] > c:
-            l = t + 1
-    return True
+    return _lyn_or_none(w) is not None
 
 
 def _lyn_or_none(w):

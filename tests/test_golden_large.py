@@ -1,0 +1,27 @@
+"""Exact ranks far beyond the oracle's reach.
+
+golden_large.json holds rn/rp/re/rb of six seeded random necklace
+representatives (n = 100..128 at k = 2, n = 60..72 at k = 3 and 4), computed
+by the tuple-state implementation that preceded the integer-coded DPs
+(commit e81b56d), so a change to the DPs that alters any answer at scale
+shows here.
+"""
+
+import json
+import os
+
+import pytest
+
+from braceletrank.api import rank_bracelet
+from braceletrank.bounding import cached_table
+
+with open(os.path.join(os.path.dirname(__file__), "golden_large.json")) as f:
+    GOLDEN = json.load(f)
+
+
+@pytest.mark.parametrize("rec", GOLDEN, ids=lambda r: f"n{len(r['word'])}k{r['k']}")
+def test_golden_large(rec):
+    word = tuple(int(c) for c in rec["word"])
+    bd = rank_bracelet(word, rec["k"])
+    cached_table.cache_clear()  # the tables of one large word are not reused
+    assert [bd.rn, bd.rp, bd.re, bd.rb] == [int(rec[x]) for x in ("rn", "rp", "re", "rb")]

@@ -1,0 +1,111 @@
+"""Input validation of the public entry points, and internal self-checks
+that must fire even under python -O."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from braceletrank import (
+    count_bracelets,
+    count_lyndon_below,
+    rank_bracelet,
+    rank_enclosing,
+    rank_necklaces,
+    rank_palindromic,
+    unrank_bracelet,
+)
+
+WORD_ENTRY_POINTS = [rank_bracelet, rank_necklaces, rank_palindromic, rank_enclosing,
+                     count_lyndon_below]
+# every public entry point, called with one argument replaced
+CALLS = [(f, lambda f, a: f(a, 2), (0, 1, 1)) for f in WORD_ENTRY_POINTS] + [
+    (count_bracelets, lambda f, a: f(a, 2), 6),
+    (unrank_bracelet, lambda f, a: f(a, 6, 2), 5),
+]
+ENTRY_IDS = [f.__name__ for f, _, _ in CALLS]
+
+
+@pytest.mark.parametrize("fn,call,good", CALLS, ids=ENTRY_IDS)
+def test_rejects_bools_and_floats(fn, call, good):
+    bad = [(True, False), (0.0, 1.0)] if isinstance(good, tuple) else [True, float(good)]
+    for arg in bad:
+        with pytest.raises(TypeError, match="must be an integer, not"):
+            call(fn, arg)
+
+
+@pytest.mark.parametrize("fn,call,good", CALLS, ids=ENTRY_IDS)
+def test_rejects_bad_alphabet_size(fn, call, good):
+    args = {count_bracelets: (6,), unrank_bracelet: (5, 6)}.get(fn, ((0, 1, 1),))
+    with pytest.raises(TypeError, match="must be an integer, not"):
+        fn(*args, 2.0)
+    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+        fn(*args, 0)
+
+
+@pytest.mark.parametrize("fn,call,good", CALLS, ids=ENTRY_IDS)
+def test_accepts_numpy_integers(fn, call, good):
+    np = pytest.importorskip("numpy")
+    arg = np.array(good, dtype=np.int64) if isinstance(good, tuple) else np.int64(good)
+    assert call(fn, arg) == call(fn, good)
+
+
+@pytest.mark.parametrize("fn", WORD_ENTRY_POINTS)
+def test_rejects_out_of_range_and_empty(fn):
+    with pytest.raises(ValueError, match="out of range"):
+        fn((0, 2), 2)
+    with pytest.raises(ValueError, match="out of range"):
+        fn((0, -1), 2)
+    with pytest.raises(ValueError, match="empty word"):
+        fn((), 2)
+
+
+# Each snippet makes one component off by one; the named self-check must
+# catch it.  Run under -O, which strips assert statements.
+OFF_BY_ONE = {
+    "rank_parity": """
+import braceletrank.api as m
+real = m.rank_enclosing
+m.rank_enclosing = lambda v, k: real(v, k) + 1
+m.rank_bracelet((0, 1, 1, 0, 1), 2)
+""",
+    "mobius_divisibility": """
+import braceletrank.necklace as m
+real = m._count_min_rot_below
+m._count_min_rot_below = lambda v, k, d: real(v, k, d) + (d == len(v))
+m.rank_necklaces((0, 1, 1, 0, 1, 1), 2)
+""",
+    "palindromic_parity": """
+import braceletrank.palindromic as m
+real = m.size_PS
+m.size_PS = lambda v, k: real(v, k) + 1
+m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
+""",
+    # unrank(5, 6, 2) ranks once to count, once per position to search and
+    # once more to re-rank its answer: make that eighth rank off by one
+    "unrank_rerank": """
+import dataclasses
+import braceletrank.api as m
+real, calls = m.rank_bracelet, []
+def rank(w, k):
+    calls.append(w)
+    bd = real(w, k)
+    return dataclasses.replace(bd, rb=bd.rb + (len(calls) == 8))
+m.rank_bracelet = rank
+m.unrank_bracelet(5, 6, 2)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_BY_ONE))
+def test_self_checks_fire_under_optimize(name):
+    code = ("import braceletrank\nassert False, 'asserts are live'\ntry:\n"
+            + "".join("    " + line + "\n" for line in OFF_BY_ONE[name].strip().splitlines())
+            + "except braceletrank.InternalError as e:\n    print('InternalError:', e)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("InternalError:"), out.stdout + out.stderr
