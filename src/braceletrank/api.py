@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .enclosing import rank_enclosing
 from .errors import check
-from .necklace import rank_necklaces
-from .palindromic import rank_palindromic
+from .necklace import count_necklaces, rank_necklaces
+from .palindromic import rank_palindromic, total_palindromic
 from .words import alphabet_size, as_index, min_rotation, validate_word
 
 
@@ -52,12 +52,10 @@ def rank_bracelet(word, k: int) -> RankBreakdown:
 
 
 def count_bracelets(n: int, k: int) -> int:
-    """Total number of bracelets of length n over k symbols."""
+    """Total number of bracelets of length n over k symbols: the average
+    (N + P) / 2 of the necklace and palindromic-necklace counts."""
     n, k = as_index(n, "length"), alphabet_size(k)
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    top = ((k - 1),) * n
-    return rank_bracelet(top, k).rb + 1
+    return (count_necklaces(n, k) + total_palindromic(n, k)) // 2  # checks n >= 1
 
 
 def unrank_bracelet(z: int, n: int, k: int) -> tuple:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
+from .words import _failure
+
 BOTTOM = -2
 EMPTY = -1
 
@@ -68,14 +70,7 @@ class SubwordTable:
             self.pos_id[l] = [idx[tuple(ext[i:i + l])] for i in range(n)]
         self.prefix_id = [None] + [self.pos_id[l][0] for l in range(1, n + 1)]
 
-        self.fail = [0] * (n + 1)
-        j = 0
-        for i in range(1, n):
-            while j and p[i] != p[j]:
-                j = self.fail[j]
-            if p[i] == p[j]:
-                j += 1
-            self.fail[i + 1] = j
+        self.fail = _failure(self.p)
         self.delta = [[0] * k for _ in range(n + 1)]
         for j in range(n + 1):
             for x in range(k):

@@ -16,9 +16,9 @@ from . import oracle
 from .api import count_bracelets, rank_bracelet, unrank_bracelet
 from .bounding import SubwordTable, dump_tables
 from .enclosing import build_SE, rank_enclosing
-from .necklace import rank_necklaces
+from .necklace import count_necklaces, rank_necklaces
 from .oracle import BudgetExceededError
-from .palindromic import pe_layer_counts, po_layer_counts, rank_palindromic
+from .palindromic import pe_layer_counts, po_layer_counts, rank_palindromic, total_palindromic
 from .words import Alphabet, min_rotation
 
 SETS = ("bracelet", "necklace", "palindromic", "enclosing")
@@ -95,19 +95,15 @@ def _cmd_unrank(args):
 def _cmd_count(args):
     alphabet = Alphabet(args.alphabet)
     k, n = alphabet.k, args.length
-    if args.set == "bracelet" and not args.use_oracle:
-        print(count_bracelets(n, k))
-        return 0
     kind = _SET_TO_KIND[args.set]
     if kind == "enclosing":
         raise ValueError("counting 'enclosing' needs a word; use rank --set enclosing")
     if args.use_oracle:
         print(len(oracle.enumerate_class(kind, n, k, _budget(args))))
-        return 0
-    if args.set == "necklace":
-        print(rank_necklaces(((k - 1),) * n, k) + 1)
     else:
-        print(rank_palindromic(((k - 1),) * n, k) + 1)
+        count = {"bracelet": count_bracelets, "necklace": count_necklaces,
+                 "palindromic": total_palindromic}[args.set]
+        print(count(n, k))
     return 0
 
 

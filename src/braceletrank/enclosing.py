@@ -43,24 +43,54 @@ def _joint_count(table: SubwordTable) -> int:
     code: count}}}, W the number of bound codes at the current length, so
     each layer maps every distinct reverse code once per symbol, into a
     list, and the innermost loop is a list and a dict lookup.
+
+    Canonical classes.  A word of length l with strict code 1+s has settled
+    its comparison with each length-d rotation of p: it is above the one at
+    m iff pos_id[l][m % d] <= s.  Forward, the code is read again only at
+    the wrap, at the final borders of w; each lies in the d-l symbols to
+    come or extends a border b in chain[j], so only the rotations at
+    M(l, j) = {1..d-l} u {d-l+b : b in chain[j]} remain.  Reverse, the code
+    is that of a suffix u of w^R growing at its front; y.u meets the
+    rotation at q through u as the rotation at q+|y|, so the mid-stream
+    checks (q = 1) and the wraps longer than u reach 1..d-l, and those
+    within u reach d-l+chain[lm]: M(l, lm), lm in j's role.  Each successor
+    strict code maps to the largest 1+r, r = pos_id[l][m % d] <= s over m
+    in M, else to 0; M only shrinks as l grows, so merging is exact.
     """
     d, k = table.n, table.k
     p0 = table.p[0]
-    delta, width, memo = table.delta, table.width, table._app_cache
+    delta, width, chain = table.delta, table.width, table.chain
+    app, pre = table._app_cache, table._pre_cache
     lo = [max(x, p0) for x in table.thresh]
     states = {0: {0: {0: 1}}}
     for t in range(d):
-        w_cur, w_next, base = width[t], width[t + 1], table.base[t]
-        present = set()
-        for fwd in states.values():
-            for rev in fwd.values():
-                present.update(rev)
+        l = t + 1  # length of the successors
+        w_cur, w_next, base, top = width[t], width[l], table.base[t], table.size[l]
+        pos = table.pos_id[l]
+        # code -> class over the rotations at 1..d-l; exact codes and 0 stay
+        reach = {pos[m] for m in range(1, d - l + 1)}
+        canon, last = list(range(w_next)), 0
+        for s in range(top):
+            last = canon[s + 1] = s + 1 if s in reach else last
+        extra = {}  # j -> codes 1+r of the rotations at d-l+b, b in chain[j], descending
+
+        def canonical(c, j):
+            ext = extra.get(j)
+            if ext is None:
+                ext = extra[j] = sorted({1 + pos[(d - l + b) % d] for b in chain[j]}, reverse=True)
+            c0 = canon[c]
+            for e in ext:
+                if e <= c:
+                    return e if e > c0 else c0
+            return c0
+
+        present = set().union(*(rev for fwd in states.values() for rev in fwd.values()))
         s1 = table.pos_id[t][1 % d] if t else None  # p[2..t+1] as a subword
         # per symbol: reverse code -> successor, -1 where a rotation of w^R
         # drops below p
         rmaps, pruned = {}, False
         for x in range(p0, k):
-            rmap = rmaps[x] = [-1] * ((t + 1) * w_cur)
+            rmap = rmaps[x] = [-1] * (l * w_cur)
             for rc in present:
                 lm, br = divmod(rc, w_cur)
                 if x == p0:
@@ -69,18 +99,23 @@ def _joint_count(table: SubwordTable) -> int:
                         pruned = True
                         continue
                     if r == 0:
-                        lm = t + 1  # a new rotation opens
-                rmap[rc] = lm * w_next + table.prepend_code(t, br, x)
+                        lm = l  # a new rotation opens
+                b2 = pre[base + br * k + x]
+                if b2 < 0:
+                    b2 = table.prepend_code(t, br, x)
+                rmap[rc] = lm * w_next + canonical(b2, lm)
         nxt = {}
         for j, fwd in states.items():
             dj = delta[j]
             for x in range(lo[j], k):
-                row = nxt.setdefault(dj[x], {})
+                j2 = dj[x]
+                row = nxt.setdefault(j2, {})
                 rmap = rmaps[x]
                 for bf, rev in fwd.items():
-                    b2 = memo[base + bf * k + x]
+                    b2 = app[base + bf * k + x]
                     if b2 < 0:
                         b2 = table.append_code(t, bf, x)
+                    b2 = canonical(b2, j2)
                     tgt = row.get(b2)
                     if tgt is None:
                         tgt = row[b2] = {}
@@ -95,8 +130,7 @@ def _joint_count(table: SubwordTable) -> int:
                         del row[b2]
         states = nxt
     w_cur = width[d]
-    rev_ok = {}
-    total = 0
+    rev_ok, total = {}, 0
     for j, fwd in states.items():
         for bf, rev in fwd.items():
             if not _wrap_ok(table, j, bf, False):

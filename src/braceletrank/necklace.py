@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .words import min_rotation, period, validate_word
+from .words import alphabet_size, as_index, min_rotation, period, validate_word
 
 
 def divisors(n: int) -> list:
@@ -132,6 +132,15 @@ def count_lyndon_below(w, k: int) -> int:
     """Number of Lyndon words of length |w| strictly smaller than w."""
     w, k = validate_word(w, k)
     return mobius_quotient(len(w), lambda d: _count_min_rot_below(w, k, d))
+
+
+def count_necklaces(n: int, k: int) -> int:
+    """Number of necklaces of length n over k symbols: (1/n) * sum over
+    d | n of phi(d) * k^(n/d), summed as the Lyndon words of lengths e | n."""
+    n, k = as_index(n, "length"), alphabet_size(k)
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return sum(mobius_quotient(e, lambda d: k ** d) for e in divisors(n))
 
 
 def rank_necklaces(v, k: int) -> int:

@@ -236,29 +236,13 @@ def _greater_even(v, k: int) -> int:
     return (pe + ps) // 2
 
 
-def even_palindromic_closed_form(n: int, k: int) -> int:
-    """Closed-form candidate for the even-length palindromic class count.
-
-    Kept only for the errata table: it overcounts for some (n, k) (first at
-    n = 4, k = 2, where it gives 7 against a true count of 6), so nothing
-    in the ranking path uses it."""
-    if n % 2 == 1:
-        raise ValueError("even lengths only")
-    l = (n + 2) // 4 if (n // 2) % 2 == 1 else n // 4
-    num = k ** (n // 2) * (k + 2) + k ** l
-    check(num % 2 == 0, "closed-form numerator is odd")
-    return num // 2 - k
-
-
 def total_palindromic(n: int, k: int) -> int:
-    """Number of palindromic necklace classes of length n over k symbols."""
+    """Number of palindromic necklace classes of length n over k symbols:
+    the reflection average (k^ceil(n/2) + k^(floor(n/2)+1)) / 2 of
+    ERRATA #2."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n % 2 == 1:
-        return k ** ((n + 1) // 2)
-    if n == 2:
-        return k * (k + 1) // 2
-    return _greater_even((0,) * n, k) + 1
+    return (k ** ((n + 1) // 2) + k ** (n // 2 + 1)) // 2
 
 
 def rank_palindromic(v, k: int) -> int:
@@ -267,8 +251,6 @@ def rank_palindromic(v, k: int) -> int:
     n = len(v)
     if n == 1:
         return v[0]
-    if n == 2:
-        return sum(1 for a in range(k) for b in range(a, k) if (a, b) < v)
     w = floor_necklace(v, k)
     greater = size_PO(w, k) if n % 2 == 1 else _greater_even(w, k)
     pal_w = is_palindromic_necklace(w)

@@ -69,16 +69,20 @@ def test_mirror_adjust_boundary_case():
 
 
 def test_top_word_consistency():
-    # two bracelets per apalindromic pair: 2 * total = necklaces + palindromic
-    from braceletrank.necklace import rank_necklaces
-    from braceletrank.palindromic import rank_palindromic
+    # two bracelets per apalindromic pair: 2 * total = necklaces + palindromic;
+    # and each closed-form count is one plus the rank of the largest word,
+    # the rank path it replaced
+    from braceletrank.necklace import count_necklaces, rank_necklaces
+    from braceletrank.palindromic import rank_palindromic, total_palindromic
 
-    for k in (2, 3):
-        for n in range(1, 9):
+    for k in (1, 2, 3, 4):
+        for n in range(1, 25):
             top = ((k - 1),) * n
             nn = rank_necklaces(top, k) + 1
             pp = rank_palindromic(top, k) + 1
             assert 2 * count_bracelets(n, k) == nn + pp
+            assert rank_bracelet(top, k).rb + 1 == count_bracelets(n, k), (n, k)
+            assert (nn, pp) == (count_necklaces(n, k), total_palindromic(n, k)), (n, k)
 
 
 def _totient(m):
@@ -97,13 +101,16 @@ def _totient(m):
 
 
 def test_count_matches_dihedral_average_at_scale():
-    # bracelets = (necklaces + palindromic) / 2, both with closed forms;
-    # checks the full rank composition well beyond enumeration reach
+    # bracelets = (necklaces + palindromic) / 2, with the necklace count
+    # from the totient formula
+    from braceletrank.necklace import count_necklaces
+
     for k in (2, 3):
         for n in range(1, 21):
             neck = sum(_totient(n // d) * k ** d
                        for d in range(1, n + 1) if n % d == 0) // n
             pal = (k ** ((n + 1) // 2) + k ** (n // 2 + 1)) // 2
+            assert count_necklaces(n, k) == neck, (n, k)
             assert count_bracelets(n, k) == (neck + pal) // 2, (n, k)
 
 

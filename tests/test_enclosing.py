@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from braceletrank.enclosing import build_SE, rank_enclosing
+from braceletrank.bounding import SubwordTable
+from braceletrank.enclosing import _joint_count, build_SE, rank_enclosing
 from braceletrank.oracle import brute_se_cells, oracle_enclosing
 from braceletrank.words import is_necklace, lyndon_prefix_length
 from util import all_words, enc, naive_min_rotation
@@ -52,3 +55,17 @@ def test_enclosing_bracelets_are_apalindromic():
         for v in all_words(n, 2):
             for b in oracle_enclosing(v, 2):
                 assert naive_min_rotation(b[::-1]) != b
+
+
+@pytest.mark.parametrize("k,dmax", [(2, 10), (3, 6), (4, 5)])
+def test_joint_count_matches_definition(k, dmax):
+    # _joint_count(p) = #{w : every rotation of w >= p and every rotation of
+    # w^R > p}, i.e. min-rotation(w) >= p < min-rotation(w^R), for every
+    # pattern p, necklace or not
+    for d in range(1, dmax + 1):
+        words = list(all_words(d, k))
+        least = {w: naive_min_rotation(w) for w in words}
+        pairs = Counter((least[w], least[w[::-1]]) for w in words)
+        for p in words:
+            want = sum(c for (a, b), c in pairs.items() if a >= p and b > p)
+            assert _joint_count(SubwordTable(p, k)) == want, p

@@ -1,10 +1,12 @@
 """Exact ranks far beyond the oracle's reach.
 
-golden_large.json holds rn/rp/re/rb of six seeded random necklace
-representatives (n = 100..128 at k = 2, n = 60..72 at k = 3 and 4), computed
-by the tuple-state implementation that preceded the integer-coded DPs
-(commit e81b56d), so a change to the DPs that alters any answer at scale
-shows here.
+golden_large.json holds rn/rp/re/rb of eight seeded random necklace
+representatives.  The first six (n = 100..128 at k = 2, n = 60..72 at k = 3
+and 4) were computed by the tuple-state implementation that preceded the
+integer-coded DPs (commit e81b56d); the last two (n = 150 at k = 2, n = 90 at
+k = 3) by the integer-coded DPs before the joint DP merged its bound codes
+into canonical classes (commit bf1fb8b).  A change to the DPs that alters
+any answer at scale shows here.
 """
 
 import json

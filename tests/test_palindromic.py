@@ -6,7 +6,7 @@ from braceletrank.bounding import cached_table
 from braceletrank.oracle import brute_size_pe, brute_size_po, brute_size_ps
 from braceletrank.palindromic import (
     _close_one,
-    even_palindromic_closed_form,
+    _greater_even,
     ge,
     gs,
     odd_period_palindromic_above,
@@ -136,19 +136,42 @@ def test_total_palindromic():
             assert total_palindromic(n, k) == len(palindromic_reps(n, k))
 
 
+def even_palindromic_closed_form(n: int, k: int) -> int:
+    """The published closed-form candidate for the even-length palindromic
+    class count, kept for ERRATA #2: it overcounts from n = 4, k = 2 on."""
+    if n % 2 == 1:
+        raise ValueError("even lengths only")
+    l = (n + 2) // 4 if (n // 2) % 2 == 1 else n // 4
+    num = k ** (n // 2) * (k + 2) + k ** l
+    assert num % 2 == 0, "closed-form numerator is odd"
+    return num // 2 - k
+
+
+ERRATA_2_TABLE = {  # (n, k): (candidate, enumerated)
+    (2, 2): (3, 3), (4, 2): (7, 6), (6, 2): (16, 12), (8, 2): (32, 24), (10, 2): (66, 48),
+    (2, 3): (6, 6), (4, 3): (21, 18), (6, 3): (69, 54), (8, 3): (204, 162), (10, 3): (618, 486),
+}
+
+
 def test_closed_form_discrepancy_documented():
     # the closed-form candidate overcounts at n=4, k=2: 7 against 6
     assert even_palindromic_closed_form(4, 2) == 7
     assert total_palindromic(4, 2) == 6
+    for (n, k), (candidate, enumerated) in ERRATA_2_TABLE.items():
+        assert even_palindromic_closed_form(n, k) == candidate, (n, k)
+        assert total_palindromic(n, k) == enumerated, (n, k)  # enumerated in test_total_palindromic
 
 
 def test_totals_match_reflection_average_at_scale():
-    # the true closed form is the dihedral reflection average; checking it
-    # far beyond enumeration reach exercises the whole PE/PS machinery
+    # the shipped total is the dihedral reflection average; the
+    # mirrored-form DPs evaluated at the minimal word must reproduce it far
+    # beyond enumeration reach, which exercises the whole PE/PS/PO machinery
     for k in (2, 3, 4):
         for n in range(1, 33):
             want = (k ** ((n + 1) // 2) + k ** (n // 2 + 1)) // 2
             assert total_palindromic(n, k) == want, (n, k)
+            above = size_PO((0,) * n, k) if n % 2 else _greater_even((0,) * n, k)
+            assert above + 1 == want, (n, k)
 
 
 def test_rank_palindromic_examples():

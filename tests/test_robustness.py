@@ -82,8 +82,9 @@ real = m.size_PS
 m.size_PS = lambda v, k: real(v, k) + 1
 m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 """,
-    # unrank(5, 6, 2) ranks once to count, once per position to search and
-    # once more to re-rank its answer: make that eighth rank off by one
+    # unrank(5, 6, 2) counts by closed form, ranks once per position to
+    # search and once more to re-rank its answer: make that seventh rank
+    # off by one
     "unrank_rerank": """
 import dataclasses
 import braceletrank.api as m
@@ -91,7 +92,7 @@ real, calls = m.rank_bracelet, []
 def rank(w, k):
     calls.append(w)
     bd = real(w, k)
-    return dataclasses.replace(bd, rb=bd.rb + (len(calls) == 8))
+    return dataclasses.replace(bd, rb=bd.rb + (len(calls) == 7))
 m.rank_bracelet = rank
 m.unrank_bracelet(5, 6, 2)
 """,
