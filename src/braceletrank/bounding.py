@@ -18,6 +18,13 @@ The DPs run on one integer code per state.  At length l, with
 S_l = len(S(v, l)), code 0 is BOTTOM (EMPTY at l = 0), 1+i is ('s', i) and
 1+S_l+i is ('e', i).  Transitions on codes are memoised in flat arrays and
 filled on first use; the tuple-state methods are views over them.
+
+No subword is stored.  The n rotations of v are sorted once; the cyclic
+subwords of length l are the length-l prefixes of the rotations, and
+subword i is the i-th run of adjacent rotations in that order sharing their
+first l symbols.  Per length the table keeps the run of every order
+position and the first position of every run, and each transition is
+rank arithmetic on those arrays: O(n^2) integers in all.
 """
 
 from __future__ import annotations
@@ -31,21 +38,47 @@ BOTTOM = -2
 EMPTY = -1
 
 
+class _Subwords:
+    """S(v, l) as a read-only sequence: item g slices v.v at the start of
+    the first rotation of group g."""
+
+    __slots__ = ("ext", "starts", "l")
+
+    def __init__(self, ext, starts, l):
+        self.ext, self.starts, self.l = ext, starts, l
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, g):
+        i = self.starts[g]
+        return self.ext[i:i + self.l]
+
+
 class SubwordTable:
-    """Sorted cyclic-subword lists plus the pattern's matching automaton.
+    """Subword order of a pattern plus its matching automaton.
 
     Attributes:
         p: the pattern word (tuple of symbol indices)
         n, k: pattern length and alphabet size
-        sub[l]: sorted list of distinct cyclic subword values of length l
+        ext, order: p + p, and the rotation starts of p sorted by rotation
+        grp[l][r]: index in S(p, l) of the length-l prefix of the rotation
+            at order position r; the groups are runs of the order
+        first[l][g]: first order position of group g, first[l][S_l] = n
+        sub[l]: S(p, l) as a sequence view (item g is a tuple)
         pos_id[l][start]: index into sub[l] of the subword starting at start
         prefix_id[l]: index of p[:l] in sub[l]
+        below[x]: number of rotations starting with a symbol below x
+        tail[x]: sorted order positions of rotation j+1 over j with p[j] = x
         delta[j][x]: longest-suffix-matching-prefix automaton of p
         fail, chain, thresh: failure links, border chains, and the minimal
             next symbol that avoids creating a suffix below a prefix of p
         size[l], width[l]: S_l and the number of codes (1 + 2*S_l) at length l
         rotations, joint: the rotation-DP and joint-DP results, computed once
             per table by the necklace and enclosing modules
+
+    Lengths with as many groups as the previous length share its lists: the
+    groups only split as l grows, so an equal count means equal groups.
 
     Tables are shared through cached_table and fill their transition memos
     lazily.  Every memo entry and DP result is a pure function of (p, k):
@@ -57,20 +90,37 @@ class SubwordTable:
             raise ValueError("empty pattern")
         if any(x < 0 or x >= k for x in p):
             raise ValueError("symbol index out of range")
-        self.p = tuple(p)
+        self.p = p = tuple(p)
         self.k = k
         self.n = n = len(p)
-        ext = self.p + self.p
-        self.sub = [None] * (n + 1)
-        self.pos_id = [None] * (n + 1)
+        self.ext = ext = p + p
+        self.order = order = sorted(range(n), key=lambda i: ext[i:i + n])
+        rank = [0] * n
+        for r, i in enumerate(order):
+            rank[i] = r
+        # lcp[r]: symbols shared by the rotations at order positions r-1, r
+        lcp = [0] * n
+        for r in range(1, n):
+            a, b, h = order[r - 1], order[r], 0
+            while h < n and ext[a + h] == ext[b + h]:
+                h += 1
+            lcp[r] = h
+        self.grp, self.first, self.pos_id = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
+        self.sub, self.size = [None] * (n + 1), [0] * (n + 1)
         for l in range(1, n + 1):
-            vals = sorted(set(tuple(ext[i:i + l]) for i in range(n)))
-            idx = {v: i for i, v in enumerate(vals)}
-            self.sub[l] = vals
-            self.pos_id[l] = [idx[tuple(ext[i:i + l])] for i in range(n)]
+            cuts = [r for r in range(1, n) if lcp[r] < l]
+            if l == 1 or len(cuts) + 1 != self.size[l - 1]:
+                first, grp = [0] + cuts + [n], [0] * n
+                for r in range(1, n):
+                    grp[r] = grp[r - 1] + (lcp[r] < l)
+                pos, starts = [grp[r] for r in rank], [order[r] for r in first[:-1]]
+            self.grp[l], self.first[l], self.pos_id[l] = grp, first, pos
+            self.sub[l], self.size[l] = _Subwords(ext, starts, l), len(starts)
         self.prefix_id = [None] + [self.pos_id[l][0] for l in range(1, n + 1)]
-
-        self.fail = _failure(self.p)
+        self.below = [sum(y < x for y in p) for x in range(k)]
+        # rotation j is p[j] followed by rotation j+1
+        self.tail = [sorted(rank[(j + 1) % n] for j in range(n) if p[j] == x) for x in range(k)]
+        self.fail = _failure(p)
         self.delta = [[0] * k for _ in range(n + 1)]
         for j in range(n + 1):
             for x in range(k):
@@ -98,7 +148,6 @@ class SubwordTable:
             self.thresh[j] = t
         # the transition from code c at length l on symbol x sits at
         # base[l] + c*k + x of the append/prepend memo, -1 until first use
-        self.size = [0] + [len(s) for s in self.sub[1:]]
         self.width = [1] + [1 + 2 * s for s in self.size[1:]]
         self.base = [0] * (n + 1)
         for l in range(n):
@@ -169,28 +218,40 @@ class SubwordTable:
         """Tuple-state view of prepend_code: the state of x.w."""
         return self.state_of(self.prepend_code(l, self.code_of(st, l), x), l + 1)
 
+    def _at(self, l, r, hit):
+        # code at length l: the group at order position r when hit, else
+        # the strict bound just below position r
+        if hit:
+            return 1 + self.size[l] + self.grp[l][r]
+        return 1 + self.grp[l][r - 1] if r else 0
+
     def _append(self, l, code, x):
         if l == 0:
-            return self.weak_code((x,))
+            return self._prepend(0, 0, x)
         if code == 0:
             return 0  # subwords above w stay above w.x; none is <=
-        if code > self.size[l]:
-            return self.weak_code(self.sub[l][code - 1 - self.size[l]] + (x,))
-        # strictly bounded: the bound of w.x is the largest subword whose
-        # l-prefix is <= the bounding value, whatever x is (k sorts above
-        # every symbol)
-        return bisect_left(self.sub[l + 1], self.sub[l][code - 1] + (self.k,))
+        s = self.size[l]
+        if code <= s:
+            # strictly bounded: w.x lies above the whole run of its bound,
+            # whatever x is, and below the next run
+            return 1 + self.grp[l + 1][self.first[l][code] - 1]
+        # exact: the run's rotations continue with non-decreasing symbols
+        e, ext, order = code - 1 - s, self.ext, self.order
+        lo, hi = self.first[l][e], self.first[l][e + 1]
+        r = bisect_left(order, x, lo, hi, key=lambda i: ext[i + l])
+        return self._at(l + 1, r, r < hi and ext[order[r] + l] == x)
 
     def _prepend(self, l, code, x):
+        # x.w lies among the rotations starting with x, ordered by their tails
+        tail = self.tail[x]
         if l == 0:
-            return self.weak_code((x,))
-        if code == 0:
-            return bisect_left(self.sub[l + 1], (x,))  # largest subword below x
-        if code > self.size[l]:
-            return self.weak_code((x,) + self.sub[l][code - 1 - self.size[l]])
-        # x.w is no subword, as w is none: an exact bound becomes strict
-        r = self.weak_code((x,) + self.sub[l][code - 1])
-        return r - self.size[l + 1] if r > self.size[l + 1] else r
+            lo, hi = 0, len(tail)
+        elif code <= self.size[l]:  # bottom or strict: x.w is no subword
+            lo = hi = bisect_left(tail, self.first[l][code]) if code else 0
+        else:
+            first, e = self.first[l], code - 1 - self.size[l]
+            lo, hi = bisect_left(tail, first[e]), bisect_left(tail, first[e + 1])
+        return self._at(l + 1, self.below[x] + lo, hi > lo)
 
     def cmp_with_subword(self, code: int, l: int, sub_id: int) -> int:
         """Trichotomy of a word with code at length l against subword
@@ -199,10 +260,6 @@ class SubwordTable:
             i = code - 1 - self.size[l]
             return (i > sub_id) - (i < sub_id)
         return 1 if sub_id < code else -1
-
-
-def build_subword_table(v, k: int) -> SubwordTable:
-    return SubwordTable(v, k)
 
 
 @lru_cache(maxsize=64)

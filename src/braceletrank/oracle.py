@@ -157,7 +157,7 @@ def brute_se_cells(v, k: int) -> dict:
                 y = u[::-1] + (x,)
                 if any(y[a:] < v[: len(y) - a] for a in range(len(y))):
                     continue
-                subs = table.sub[len(y)]
+                subs = list(table.sub[len(y)])
                 if tuple(y) in set(subs):
                     s = ("exact", subs.index(tuple(y)))
                 else:

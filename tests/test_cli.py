@@ -1,6 +1,15 @@
 import json
+import os
+
+import pytest
 
 from braceletrank.cli import main
+
+# `tables` output, plain and with --se --layers, for four necklaces (k = 2
+# aperiodic and periodic, k = 3, k = 4), recorded from the implementation
+# that stored every cyclic subword as a tuple (commit 068ef60)
+with open(os.path.join(os.path.dirname(__file__), "golden_tables.json")) as f:
+    GOLDEN_TABLES = json.load(f)
 
 
 def run(capsys, *argv):
@@ -104,6 +113,12 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "unrank", "--alphabet", "ab", "--length", "8",
                        "--index", "99")
     assert code == 1
+
+
+@pytest.mark.parametrize("case", GOLDEN_TABLES, ids=lambda c: " ".join(c["argv"][4:]))
+def test_tables_output_is_unchanged(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == 0 and out == case["stdout"]
 
 
 def test_json_matches_plain(capsys):

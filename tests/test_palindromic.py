@@ -29,7 +29,7 @@ def test_size_x_examples():
     assert size_X((0,) * 5, 2, 2, 0) == 2
     # v = aab, s = the largest length-2 subword (ba)
     t = cached_table(enc("aab"), 2)
-    s = t.sub[2].index(enc("ba"))
+    s = list(t.sub[2]).index(enc("ba"))
     assert size_X(enc("aab"), 2, 0, s) == 2
 
 

@@ -82,17 +82,18 @@ real = m.size_PS
 m.size_PS = lambda v, k: real(v, k) + 1
 m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 """,
-    # unrank(5, 6, 2) counts by closed form, ranks once per position to
-    # search and once more to re-rank its answer: make that seventh rank
-    # off by one
+    # make every rank of unrank(5, 6, 2)'s answer, found by one unpatched
+    # call, one too low: the search takes the same path, as the answer still
+    # ranks <= z, so only the final re-rank can notice, however many ranks
+    # the search makes.  One too high would steer the search to an equally
+    # ranked non-representative word, whose re-rank is right.
     "unrank_rerank": """
 import dataclasses
 import braceletrank.api as m
-real, calls = m.rank_bracelet, []
+real, answer = m.rank_bracelet, m.unrank_bracelet(5, 6, 2)
 def rank(w, k):
-    calls.append(w)
     bd = real(w, k)
-    return dataclasses.replace(bd, rb=bd.rb + (len(calls) == 7))
+    return dataclasses.replace(bd, rb=bd.rb - (tuple(w) == answer))
 m.rank_bracelet = rank
 m.unrank_bracelet(5, 6, 2)
 """,

@@ -1,0 +1,119 @@
+"""SubwordTable against a reference built from materialised subwords.
+
+RefTable is the construction the rotation-order table replaced: every
+cyclic subword of every length stored as a tuple in a sorted list, and
+each transition found by bisecting tuples.  It is slow and O(n^3) in
+memory, but each step reads straight off the definition.  The shipped
+table must agree with it on every transition, size, position id and
+subword.
+"""
+
+import random
+import tracemalloc
+from bisect import bisect_left, bisect_right
+
+import pytest
+
+from braceletrank.bounding import SubwordTable
+from util import all_words, naive_min_rotation
+
+
+class RefTable:
+    def __init__(self, p, k):
+        self.p, self.k, self.n = tuple(p), k, len(p)
+        ext = self.p + self.p
+        self.sub, self.pos_id = [None], [None]
+        for l in range(1, self.n + 1):
+            vals = sorted(set(ext[i:i + l] for i in range(self.n)))
+            idx = {v: i for i, v in enumerate(vals)}
+            self.sub.append(vals)
+            self.pos_id.append([idx[ext[i:i + l]] for i in range(self.n)])
+        self.size = [0] + [len(s) for s in self.sub[1:]]
+
+    def weak_code(self, val):
+        vals = self.sub[len(val)]
+        i = bisect_right(vals, val)
+        if i and vals[i - 1] == val:
+            return self.size[len(val)] + i
+        return i
+
+    def append(self, l, code, x):
+        if l == 0:
+            return self.weak_code((x,))
+        if code == 0:
+            return 0
+        if code > self.size[l]:
+            return self.weak_code(self.sub[l][code - 1 - self.size[l]] + (x,))
+        # k sorts above every symbol: the last subword extending the bound
+        return bisect_left(self.sub[l + 1], self.sub[l][code - 1] + (self.k,))
+
+    def prepend(self, l, code, x):
+        if l == 0:
+            return self.weak_code((x,))
+        if code == 0:
+            return bisect_left(self.sub[l + 1], (x,))
+        if code > self.size[l]:
+            return self.weak_code((x,) + self.sub[l][code - 1 - self.size[l]])
+        r = self.weak_code((x,) + self.sub[l][code - 1])
+        return r - self.size[l + 1] if r > self.size[l + 1] else r
+
+
+def _assert_same(p, k):
+    t, ref = SubwordTable(p, k), RefTable(p, k)
+    assert t.size == ref.size, p
+    for l in range(1, t.n + 1):
+        assert list(t.sub[l]) == ref.sub[l], (p, l)
+        assert t.pos_id[l] == ref.pos_id[l], (p, l)
+        assert t.prefix_id[l] == ref.pos_id[l][0], (p, l)
+    for l in range(t.n):
+        for code in range(t.width[l]):
+            for x in range(k):
+                assert t.append_code(l, code, x) == ref.append(l, code, x), (p, l, code, x)
+                assert t.prepend_code(l, code, x) == ref.prepend(l, code, x), (p, l, code, x)
+
+
+@pytest.mark.parametrize("k,nmax", [(2, 8), (3, 5), (4, 4)])
+def test_every_transition_matches_reference(k, nmax):
+    for n in range(1, nmax + 1):
+        for p in all_words(n, k):
+            _assert_same(p, k)
+
+
+def _scale_patterns():
+    rng = random.Random(4)
+    out = []
+    for n in (10, 17, 24, 31, 40):
+        for k in (2, 3, 4):
+            out.append((tuple(rng.randrange(k) for _ in range(n)), k))
+            out.append(((k - 1,) * n, k))
+            for m in (2, 3, 5):  # u^m, trimmed to n
+                u = tuple(rng.randrange(k) for _ in range(-(-n // m)))
+                out.append(((u * m)[:n], k))
+                if n % m == 0:
+                    out.append((u[:n // m] * m, k))
+    return out
+
+
+def test_scale_patterns_match_reference():
+    for p, k in _scale_patterns():
+        _assert_same(p, k)
+
+
+def _traced_mib(n, seed):
+    rng = random.Random(seed)
+    word = naive_min_rotation(tuple(rng.randrange(2) for _ in range(n)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = SubwordTable(word, 2)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.n == n
+    return size / 2 ** 20
+
+
+@pytest.mark.parametrize("n,limit_mib", [(200, 6), (400, 30)])
+def test_table_memory_is_quadratic(n, limit_mib):
+    # materialised subwords took about 35 MiB at n = 200 and 264 MiB at 400
+    assert _traced_mib(n, seed=n) <= limit_mib
