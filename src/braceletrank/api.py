@@ -15,7 +15,7 @@ from .enclosing import rank_enclosing
 from .errors import check
 from .necklace import count_necklaces, rank_necklaces
 from .palindromic import rank_palindromic, total_palindromic
-from .words import alphabet_size, as_index, min_rotation, validate_word
+from .words import as_index, min_rotation, validate_word
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def rank_bracelet(word, k: int) -> RankBreakdown:
 def count_bracelets(n: int, k: int) -> int:
     """Total number of bracelets of length n over k symbols: the average
     (N + P) / 2 of the necklace and palindromic-necklace counts."""
-    n, k = as_index(n, "length"), alphabet_size(k)
-    return (count_necklaces(n, k) + total_palindromic(n, k)) // 2  # checks n >= 1
+    return (count_necklaces(n, k) + total_palindromic(n, k)) // 2  # both check n and k
 
 
 def unrank_bracelet(z: int, n: int, k: int) -> tuple:

@@ -8,16 +8,11 @@ answer, memoised on first use, how that bound evolves when a symbol is
 appended or prepended to w, which is what every counting DP in this
 package runs on.
 
-Bound states:
-  EMPTY        the empty word (length 0)
-  BOTTOM       below every subword of its length
-  ('e', i)     equals subword i of its length exactly
-  ('s', i)     strictly bounded by subword i of its length
-
-The DPs run on one integer code per state.  At length l, with
-S_l = len(S(v, l)), code 0 is BOTTOM (EMPTY at l = 0), 1+i is ('s', i) and
-1+S_l+i is ('e', i).  Transitions on codes are memoised in flat arrays and
-filled on first use; the tuple-state methods are views over them.
+The DPs run on one integer bound code per word.  At length l, with
+S_l = len(S(v, l)), code 0 is the bottom (below every subword; the empty
+word at l = 0), 1+i means strictly bounded by subword i and 1+S_l+i equal
+to subword i.  Transitions on codes are memoised in flat arrays and filled
+on first use.
 
 No subword is stored.  The n rotations of v are sorted once; the cyclic
 subwords of length l are the length-l prefixes of the rotations, and
@@ -33,9 +28,6 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .words import _failure
-
-BOTTOM = -2
-EMPTY = -1
 
 
 class _Subwords:
@@ -156,32 +148,14 @@ class SubwordTable:
         self._pre_cache = [-1] * self.base[n]
         self.rotations = self.joint = None
 
-    # ---- codes and their tuple views ----
-
-    def code_of(self, st, l: int) -> int:
-        if st == BOTTOM or st == EMPTY:
-            return 0
-        kind, i = st
-        return 1 + i + (self.size[l] if kind == 'e' else 0)
-
-    def state_of(self, code: int, l: int):
-        if code == 0:
-            return EMPTY if l == 0 else BOTTOM
-        if code > self.size[l]:
-            return ('e', code - 1 - self.size[l])
-        return ('s', code - 1)
-
     def weak_code(self, val) -> int:
         """Code of the word val: exact if val is a subword, otherwise the
-        strict bound (largest subword < val), BOTTOM if none."""
+        strict bound (largest subword < val), 0 if none."""
         vals = self.sub[len(val)]
         i = bisect_right(vals, val)
         if i and vals[i - 1] == val:
             return self.size[len(val)] + i
         return i
-
-    def weak_bound(self, val):
-        return self.state_of(self.weak_code(val), len(val))
 
     def match_state(self, val) -> int:
         """Automaton state after reading val: longest suffix of val that is
@@ -209,14 +183,6 @@ class SubwordTable:
         if r < 0:
             r = self._pre_cache[i] = self._prepend(l, code, x)
         return r
-
-    def append_bound(self, st, x: int, l: int):
-        """Tuple-state view of append_code: the state of w.x at length l+1."""
-        return self.state_of(self.append_code(l, self.code_of(st, l), x), l + 1)
-
-    def prepend_bound(self, st, x: int, l: int):
-        """Tuple-state view of prepend_code: the state of x.w."""
-        return self.state_of(self.prepend_code(l, self.code_of(st, l), x), l + 1)
 
     def _at(self, l, r, hit):
         # code at length l: the group at order position r when hit, else
@@ -268,25 +234,15 @@ def cached_table(p: tuple, k: int) -> SubwordTable:
     return SubwordTable(p, k)
 
 
-def bound_of(w, table: SubwordTable, strict: bool = True):
-    """Index of the bounding subword of w in S(v, |w|), or None (bottom).
-
-    Strict mode returns the largest subword < w; weak mode the largest <= w.
-    """
-    vals = table.sub[len(w)]
-    w = tuple(w)
-    i = bisect_left(vals, w) if strict else bisect_right(vals, w)
-    return i - 1 if i else None
-
-
 def _strict_rows(table: SubwordTable, step) -> dict:
-    # (l, s, x) -> strict bound index after step(st, x, l), None for bottom
+    # (l, s, x) -> strict bound index after step(l, code, x), None for
+    # bottom; from a strict code no step lands on an exact code
     out = {}
     for l in range(1, table.n):
         for s in [None] + list(range(len(table.sub[l]))):
             for x in range(table.k):
-                r = step(BOTTOM if s is None else ('s', s), x, l)
-                out[(l, s, x)] = None if r == BOTTOM else r[1]
+                r = step(l, 0 if s is None else 1 + s, x)
+                out[(l, s, x)] = r - 1 if r else None
     return out
 
 
@@ -296,7 +252,7 @@ def build_XW(table: SubwordTable) -> dict:
     For every word w strictly bounded by subword s at length l, XW[(l, s, x)]
     strictly bounds x.w.  s = None is the bottom row; value None is bottom.
     """
-    return _strict_rows(table, table.prepend_bound)
+    return _strict_rows(table, table.prepend_code)
 
 
 def build_WX(table: SubwordTable) -> dict:
@@ -304,7 +260,7 @@ def build_WX(table: SubwordTable) -> dict:
 
     For every word w strictly bounded by s at length l, WX[(l, s, x)]
     strictly bounds w.x (the result does not depend on x)."""
-    return _strict_rows(table, table.append_bound)
+    return _strict_rows(table, table.append_code)
 
 
 def dump_tables(table: SubwordTable, alphabet=None) -> list:

@@ -19,7 +19,7 @@ from .enclosing import build_SE, rank_enclosing
 from .necklace import count_necklaces, rank_necklaces
 from .oracle import BudgetExceededError
 from .palindromic import pe_layer_counts, po_layer_counts, rank_palindromic, total_palindromic
-from .words import Alphabet, min_rotation
+from .words import Alphabet
 
 SETS = ("bracelet", "necklace", "palindromic", "enclosing")
 
@@ -32,7 +32,7 @@ _SET_TO_KIND = {
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("BRACELET_BUDGET")
     return int(env) if env else None
@@ -164,8 +164,6 @@ def _cmd_tables(args):
             for (x, i, j, s), c in sorted(se.items())
         ]
     if args.layers:
-        if min_rotation(word) != word:
-            raise ValueError("layer dumps require a necklace representative")
         layers = po_layer_counts(word, k) if len(word) % 2 else pe_layer_counts(word, k)
         out["layers"] = [
             {"i": i, "j": j, "s": s, "count": c}
@@ -180,7 +178,8 @@ def _parser():
                                 description="Rank and unrank bracelets.")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, word=False, length=False, index=False, set_arg=False):
+    def common(sp, word=False, length=False, index=False, set_arg=False, as_json=False,
+               budget=False):
         sp.add_argument("--alphabet", required=True,
                         help="ordered symbols, e.g. 'ab' or 'abcd'")
         if word:
@@ -191,12 +190,14 @@ def _parser():
             sp.add_argument("--index", type=int, required=True)
         if set_arg:
             sp.add_argument("--set", choices=SETS, default="bracelet")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget (default 2^24; env BRACELET_BUDGET)")
+        if as_json:
+            sp.add_argument("--json", action="store_true")
+        if budget:
+            sp.add_argument("--budget", type=int, default=None,
+                            help="enumeration budget (default 2^24; env BRACELET_BUDGET)")
 
     sp = sub.add_parser("rank", help="rank a word within a class")
-    common(sp, word=True, set_arg=True)
+    common(sp, word=True, set_arg=True, as_json=True, budget=True)
     sp.add_argument("--breakdown", action="store_true",
                     help="print rn/rp/re/rb for the bracelet set")
     sp.add_argument("--use-oracle", action="store_true",
@@ -204,24 +205,24 @@ def _parser():
     sp.set_defaults(fn=_cmd_rank)
 
     sp = sub.add_parser("unrank", help="bracelet representative of a rank")
-    common(sp, length=True, index=True)
+    common(sp, length=True, index=True, as_json=True)
     sp.add_argument("--one-based", action="store_true",
                     help="treat --index as 1-based")
     sp.set_defaults(fn=_cmd_unrank)
 
     sp = sub.add_parser("count", help="count a class")
-    common(sp, length=True, set_arg=True)
+    common(sp, length=True, set_arg=True, budget=True)
     sp.add_argument("--use-oracle", action="store_true")
     sp.set_defaults(fn=_cmd_count)
 
     sp = sub.add_parser("enumerate", help="list class representatives (oracle)")
-    common(sp, set_arg=True)
+    common(sp, set_arg=True, as_json=True, budget=True)
     sp.add_argument("--length", type=int, help="word length (classes by length)")
     sp.add_argument("--word", help="query word for --set enclosing")
     sp.set_defaults(fn=_cmd_enumerate)
 
     sp = sub.add_parser("verify", help="oracle-equivalence sweep over all words")
-    common(sp, length=True)
+    common(sp, length=True, budget=True)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("tables", help="dump subword/bounding tables as JSON")

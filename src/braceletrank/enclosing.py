@@ -209,7 +209,8 @@ def build_SE(v, k: int) -> dict:
                 for b, c in row.items():
                     code = table.append_code(t, b, x)
                     check(code != 0, "an SE layer state fell to the bottom")
-                    kind, sid = table.state_of(code, t + 1)
-                    key = (x, i, table.delta[j][x], ("exact" if kind == 'e' else "strict", sid))
+                    size = table.size[t + 1]
+                    s = ("exact", code - 1 - size) if code > size else ("strict", code - 1)
+                    key = (x, i, table.delta[j][x], s)
                     out[key] = out.get(key, 0) + c
     return out

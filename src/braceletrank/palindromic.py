@@ -12,8 +12,9 @@ its period is odd, two of one kind when even), which gives
 
     #palindromic classes above v  =  (|PE(v)| + |PS(v)|) / 2
 
-and the single-form counts split off with the number of odd-period
-palindromic classes above v as the shared correction term.
+The split into the classes of each form, with the number of odd-period
+palindromic classes above v as its correction term (ERRATA #3), is not
+needed here; tests/reference.py keeps it as a check.
 
 The DPs require a necklace representative; public entry points floor
 arbitrary words first, which leaves every "classes above" count unchanged.
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .words import floor_necklace, is_palindromic_necklace, min_rotation, validate_word
+from .words import (alphabet_size, as_index, floor_necklace, is_palindromic_necklace,
+                    min_rotation, validate_word)
 
 
 def _palindromic_ids(table: SubwordTable, l: int) -> list:
@@ -141,15 +143,6 @@ def _close_all(table, states, l, close, k) -> int:
     return total
 
 
-def size_X(v, k: int, j: int, s: int) -> int:
-    """#symbols x with v[:j] + (x,) + value(s) >= v, comparing the first
-    |v| symbols; s indexes S(v, n-1)."""
-    v, k = validate_word(v, k)
-    n = len(v)
-    sval = cached_table(v, k).sub[n - 1][s]
-    return sum(1 for x in range(k) if (v[:j] + (x,) + sval)[:n] >= v)
-
-
 def size_PO(v, k: int) -> int:
     """Number of words phi.x.reverse(phi) of odd length |v| whose class
     minimum is strictly above v."""
@@ -190,46 +183,6 @@ def size_PS(v, k: int) -> int:
     return _close_all(table, _layers(table, k, n - 2), n - 2, _close_two, k)
 
 
-def _odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
-def odd_period_palindromic_above(v, k: int) -> int:
-    """Number of palindromic classes of length |v| with odd smallest period
-    whose representative is strictly above v.
-
-    These are exactly the classes carrying one word of each mirrored form,
-    so this is the shared correction term of ge and gs.  They arise as
-    (n / q)-th powers of the odd-length palindromic classes of length
-    q = odd part of n.
-    """
-    v, k = validate_word(v, k)
-    n = len(v)
-    w = floor_necklace(v, k)
-    q = _odd_part(n)
-    if q == 1:
-        return k - 1 - w[0]
-    return size_PO(w[:q], k)
-
-
-def ge(v, k: int) -> int:
-    """Number of classes above v containing a word x.phi.y.reverse(phi)."""
-    pe = size_PE(v, k)
-    b = odd_period_palindromic_above(v, k)
-    check((pe + b) % 2 == 0, "size_PE and the odd-period term out of parity")
-    return (pe + b) // 2
-
-
-def gs(v, k: int) -> int:
-    """Number of classes above v containing a word phi.reverse(phi)."""
-    ps = size_PS(v, k)
-    b = odd_period_palindromic_above(v, k)
-    check((ps + b) % 2 == 0, "size_PS and the odd-period term out of parity")
-    return (ps + b) // 2
-
-
 def _greater_even(v, k: int) -> int:
     pe, ps = size_PE(v, k), size_PS(v, k)
     check((pe + ps) % 2 == 0, "size_PE and size_PS out of parity")
@@ -240,6 +193,7 @@ def total_palindromic(n: int, k: int) -> int:
     """Number of palindromic necklace classes of length n over k symbols:
     the reflection average (k^ceil(n/2) + k^(floor(n/2)+1)) / 2 of
     ERRATA #2."""
+    n, k = as_index(n, "length"), alphabet_size(k)
     if n < 1:
         raise ValueError("n >= 1 required")
     return (k ** ((n + 1) // 2) + k ** (n // 2 + 1)) // 2

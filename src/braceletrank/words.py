@@ -44,22 +44,6 @@ class Alphabet:
         return "".join(self.symbols[x] for x in word)
 
 
-@dataclass(frozen=True)
-class CanonicalForms:
-    """Canonical data of a word's rotation/reflection classes."""
-
-    necklace_rep: Word
-    bracelet_rep: Word
-    period: int
-    is_palindromic: bool
-
-
-def canonical_forms(w: Word) -> CanonicalForms:
-    nr = min_rotation(w)
-    mr = min_rotation(w[::-1])
-    return CanonicalForms(nr, min(nr, mr), period(w), nr == mr)
-
-
 def _require_integer_type(t, what: str):
     if t is bool or not hasattr(t, "__index__"):
         raise TypeError(f"{what} must be an integer, not {t.__name__}")
@@ -100,24 +84,6 @@ def _check_nonempty(w: Word):
         raise ValueError("empty word")
 
 
-def rotate(w: Word, r: int) -> Word:
-    """Cyclic left rotation by r positions (r reduced mod len(w))."""
-    _check_nonempty(w)
-    r %= len(w)
-    return w[r:] + w[:r]
-
-
-def reverse_word(w: Word) -> Word:
-    return w[::-1]
-
-
-def power(w: Word, t: int) -> Word:
-    """w repeated t times."""
-    if t < 1:
-        raise ValueError("power requires t >= 1")
-    return w * t
-
-
 def period(w: Word) -> int:
     """Smallest p such that w is its length-p prefix repeated."""
     _check_nonempty(w)
@@ -151,12 +117,6 @@ def min_rotation(w: Word) -> Word:
     return w[best:] + w[: best]
 
 
-def min_rotation_naive(w: Word) -> Word:
-    """Quadratic cross-check for min_rotation."""
-    _check_nonempty(w)
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
 def is_necklace(w: Word) -> bool:
     """True iff w is the smallest rotation of itself."""
     return w == min_rotation(w)
@@ -170,37 +130,6 @@ def bracelet_representative(w: Word) -> Word:
 def is_palindromic_necklace(w: Word) -> bool:
     """True iff w's rotation class coincides with its reflected class."""
     return min_rotation(w) == min_rotation(w[::-1])
-
-
-def lyndon_prefix_length(w: Word) -> int:
-    """Length of the longest prefix of w that is a Lyndon word.
-
-    A Lyndon word is strictly smaller than all of its proper rotations;
-    the longest Lyndon prefix is the first factor of the standard
-    factorization (Duval's algorithm).
-    """
-    _check_nonempty(w)
-    n = len(w)
-    i, j = 0, 1
-    while j < n and w[i] <= w[j]:
-        i = 0 if w[i] < w[j] else i + 1
-        j += 1
-    return j - i
-
-
-def longest_suffix_prefix_match(w: Word, v: Word) -> int:
-    """Largest j such that the last j symbols of w equal v[:j]."""
-    if not v:
-        return 0
-    fail = _failure(v)
-    j = 0
-    m = len(v)
-    for x in w:
-        while j and (j == m or x != v[j]):
-            j = fail[j]
-        if x == v[j] and j < m:
-            j += 1
-    return j
 
 
 def _failure(v: Word) -> list:

@@ -15,14 +15,10 @@ from bisect import bisect_left
 
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from braceletrank.enclosing import build_SE
-from braceletrank.oracle import (
-    brute_pe_cells,
-    brute_po_cells,
-    brute_se_cells,
-    enumerate_class,
-)
+from braceletrank.oracle import enumerate_class
 from braceletrank.palindromic import pe_layer_counts, po_layer_counts, total_palindromic
 from braceletrank.words import is_necklace, min_rotation
+from reference import brute_pe_cells, brute_po_cells, brute_se_cells
 from util import all_words, dec
 
 FIG1 = """aaaaaaaa aaaaaaab aaaaaabb aaaaabab aaaaabbb aaaabaab aaaababb aaaabbbb

@@ -3,6 +3,7 @@ from bisect import bisect_left
 
 import pytest
 
+import braceletrank
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from util import bracelet_reps, enc
 
@@ -174,3 +175,21 @@ def test_validation_errors():
         rank_bracelet((0, 1), 0)
     with pytest.raises(ValueError):
         count_bracelets(0, 2)
+
+
+PUBLIC = {
+    "rank_bracelet", "unrank_bracelet", "count_bracelets", "RankBreakdown",
+    "rank_necklaces", "rank_palindromic", "rank_enclosing",
+    "Alphabet", "InternalError",
+    "enumerate_class", "oracle_rank", "oracle_enclosing", "BudgetExceededError", "DEFAULT_BUDGET",
+}
+
+
+def test_public_surface():
+    assert len(braceletrank.__all__) == len(PUBLIC) == 14
+    assert set(braceletrank.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(braceletrank, name), name
+    namespace = {}
+    exec("from braceletrank import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC

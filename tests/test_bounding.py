@@ -1,14 +1,8 @@
 import pytest
 
-from braceletrank.bounding import (
-    BOTTOM,
-    SubwordTable,
-    bound_of,
-    build_WX,
-    build_XW,
-    dump_tables,
-)
+from braceletrank.bounding import SubwordTable, build_WX, build_XW, dump_tables
 from braceletrank.words import Alphabet
+from reference import bound_of
 from util import all_words, enc
 
 
@@ -93,9 +87,10 @@ def test_exact_state_transitions_match_values():
             t = SubwordTable(v, 2)
             for l in range(1, n):
                 for i, val in enumerate(t.sub[l]):
+                    exact = 1 + t.size[l] + i
                     for x in range(2):
-                        assert t.append_bound(('e', i), x, l) == t.weak_bound(val + (x,))
-                        assert t.prepend_bound(('e', i), x, l) == t.weak_bound((x,) + val)
+                        assert t.append_code(l, exact, x) == t.weak_code(val + (x,))
+                        assert t.prepend_code(l, exact, x) == t.weak_code((x,) + val)
 
 
 def test_prepend_from_bottom():
@@ -107,11 +102,11 @@ def test_prepend_from_bottom():
         assert bound_of(low, t, strict=True) is None
         for x in range(4):
             want = bound_of((x,) + low, t, strict=True)
-            got = t.prepend_bound(BOTTOM, x, l)
-            assert (want is None) == (got == BOTTOM)
+            got = t.prepend_code(l, 0, x)  # code 0: bottom
+            assert (want is None) == (got == 0)
             if want is not None:
-                assert got == ('s', want)
-        assert t.append_bound(BOTTOM, 0, l) == BOTTOM
+                assert got == 1 + want  # strict, not exact
+        assert t.append_code(l, 0, 0) == 0
 
 
 def test_dump_tables_shape():

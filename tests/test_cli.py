@@ -132,3 +132,17 @@ def test_budget_env(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--alphabet", "ab", "--length", "10",
                        "--set", "necklace")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    "count --alphabet ab --length 4 --json",
+    "verify --alphabet ab --length 4 --json",
+    "tables --alphabet ab --word aabb --json",
+    "tables --alphabet ab --word aabb --budget 100",
+    "unrank --alphabet ab --length 4 --index 0 --budget 100",
+])
+def test_flags_a_verb_ignores_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv.split())
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

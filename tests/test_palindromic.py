@@ -3,23 +3,29 @@ from bisect import bisect_left
 import pytest
 
 from braceletrank.bounding import cached_table
-from braceletrank.oracle import brute_size_pe, brute_size_po, brute_size_ps
 from braceletrank.palindromic import (
     _close_one,
     _greater_even,
-    ge,
-    gs,
-    odd_period_palindromic_above,
     pe_layer_counts,
     po_layer_counts,
     rank_palindromic,
     size_PE,
     size_PO,
     size_PS,
-    size_X,
     total_palindromic,
 )
 from braceletrank.words import is_necklace
+from reference import (
+    brute_pe_cells,
+    brute_po_cells,
+    brute_size_pe,
+    brute_size_po,
+    brute_size_ps,
+    ge,
+    gs,
+    odd_period_palindromic_above,
+    size_X,
+)
 from util import all_words, enc, palindromic_reps, rotations
 
 
@@ -217,8 +223,6 @@ def test_even_form_coverage():
 
 
 def test_layer_ground_truth_small():
-    from braceletrank.oracle import brute_pe_cells, brute_po_cells
-
     for n in range(3, 7):
         for v in all_words(n, 2):
             if not is_necklace(v):

@@ -9,22 +9,34 @@ import pytest
 
 from braceletrank import (
     count_bracelets,
-    count_lyndon_below,
+    enumerate_class,
+    oracle_enclosing,
+    oracle_rank,
     rank_bracelet,
     rank_enclosing,
     rank_necklaces,
     rank_palindromic,
     unrank_bracelet,
 )
+from braceletrank.necklace import count_lyndon_below, count_necklaces
+from braceletrank.palindromic import total_palindromic
 
-WORD_ENTRY_POINTS = [rank_bracelet, rank_necklaces, rank_palindromic, rank_enclosing,
-                     count_lyndon_below]
 # every public entry point, called with one argument replaced
-CALLS = [(f, lambda f, a: f(a, 2), (0, 1, 1)) for f in WORD_ENTRY_POINTS] + [
-    (count_bracelets, lambda f, a: f(a, 2), 6),
-    (unrank_bracelet, lambda f, a: f(a, 6, 2), 5),
-]
+WORD_CALLS = [(f, lambda f, a: f(a, 2)) for f in (rank_bracelet, rank_necklaces, rank_palindromic,
+                                                  rank_enclosing, count_lyndon_below,
+                                                  oracle_enclosing)]
+WORD_CALLS.append((oracle_rank, lambda f, a: f("bracelet", a, 2)))
+LENGTH_CALLS = [(f, lambda f, a: f(a, 2)) for f in (count_bracelets, count_necklaces,
+                                                    total_palindromic)]
+LENGTH_CALLS.append((enumerate_class, lambda f, a: f("bracelet", a, 2)))
+CALLS = ([(f, call, (0, 1, 1)) for f, call in WORD_CALLS]
+         + [(f, call, 6) for f, call in LENGTH_CALLS]
+         + [(unrank_bracelet, lambda f, a: f(a, 6, 2), 5)])
 ENTRY_IDS = [f.__name__ for f, _, _ in CALLS]
+# the arguments before the alphabet size, where they are not one word
+LEADING_ARGS = {count_bracelets: (6,), count_necklaces: (6,), total_palindromic: (6,),
+                oracle_rank: ("bracelet", (0, 1, 1)), enumerate_class: ("bracelet", 6),
+                unrank_bracelet: (5, 6)}
 
 
 @pytest.mark.parametrize("fn,call,good", CALLS, ids=ENTRY_IDS)
@@ -37,11 +49,12 @@ def test_rejects_bools_and_floats(fn, call, good):
 
 @pytest.mark.parametrize("fn,call,good", CALLS, ids=ENTRY_IDS)
 def test_rejects_bad_alphabet_size(fn, call, good):
-    args = {count_bracelets: (6,), unrank_bracelet: (5, 6)}.get(fn, ((0, 1, 1),))
+    args = LEADING_ARGS.get(fn, ((0, 1, 1),))
     with pytest.raises(TypeError, match="must be an integer, not"):
         fn(*args, 2.0)
-    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
-        fn(*args, 0)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+            fn(*args, k)
 
 
 @pytest.mark.parametrize("fn,call,good", CALLS, ids=ENTRY_IDS)
@@ -51,14 +64,21 @@ def test_accepts_numpy_integers(fn, call, good):
     assert call(fn, arg) == call(fn, good)
 
 
-@pytest.mark.parametrize("fn", WORD_ENTRY_POINTS)
-def test_rejects_out_of_range_and_empty(fn):
+@pytest.mark.parametrize("fn,call", WORD_CALLS, ids=[f.__name__ for f, _ in WORD_CALLS])
+def test_rejects_out_of_range_and_empty(fn, call):
     with pytest.raises(ValueError, match="out of range"):
-        fn((0, 2), 2)
+        call(fn, (0, 2))
     with pytest.raises(ValueError, match="out of range"):
-        fn((0, -1), 2)
+        call(fn, (0, -1))
     with pytest.raises(ValueError, match="empty word"):
-        fn((), 2)
+        call(fn, ())
+
+
+@pytest.mark.parametrize("fn,call", LENGTH_CALLS, ids=[f.__name__ for f, _ in LENGTH_CALLS])
+def test_rejects_nonpositive_length(fn, call):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1 required"):
+            call(fn, n)
 
 
 # Each snippet makes one component off by one; the named self-check must

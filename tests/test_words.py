@@ -2,24 +2,18 @@ import random
 
 import pytest
 
+from braceletrank.bounding import SubwordTable
 from braceletrank.words import (
     Alphabet,
     bracelet_representative,
-    canonical_forms,
     floor_necklace,
     is_necklace,
     is_palindromic_necklace,
     is_prenecklace,
-    longest_suffix_prefix_match,
-    lyndon_prefix_length,
     min_rotation,
-    min_rotation_naive,
     period,
-    power,
-    reverse_word,
-    rotate,
 )
-from util import all_words, enc, naive_min_rotation, necklace_reps, rotations
+from util import all_words, enc, lyndon_prefix_length, naive_min_rotation, necklace_reps, rotations
 
 
 def test_alphabet_roundtrip():
@@ -33,37 +27,6 @@ def test_alphabet_roundtrip():
         al.encode("")
     with pytest.raises(ValueError):
         Alphabet("aa")
-
-
-def test_rotate_examples():
-    assert rotate(enc("aab"), 1) == enc("aba")
-    assert rotate(enc("aab"), 0) == enc("aab")
-    assert rotate(enc("bababa"), 1) == enc("ababab")
-
-
-def test_rotate_composes():
-    for n in range(1, 7):
-        for w in all_words(n, 3):
-            for r1 in range(n):
-                for r2 in range(n):
-                    assert rotate(rotate(w, r1), r2) == rotate(w, (r1 + r2) % n)
-
-
-def test_reverse_examples():
-    assert reverse_word(enc("aaaba")) == enc("abaaa")
-    assert reverse_word(enc("aabc")) == enc("cbaa")
-    rng = random.Random(0)
-    for _ in range(50):
-        w = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 12)))
-        assert reverse_word(reverse_word(w)) == w
-
-
-def test_power_examples():
-    assert power(enc("aab"), 3) == enc("aabaabaab")
-    assert power(enc("ab"), 1) == enc("ab")
-    assert power(enc("ab"), 2) == enc("abab")
-    with pytest.raises(ValueError):
-        power(enc("ab"), 0)
 
 
 def test_period_examples():
@@ -87,7 +50,7 @@ def test_min_rotation_examples():
 def test_min_rotation_exhaustive():
     for n in range(1, 11):
         for w in all_words(n, 2):
-            assert min_rotation(w) == naive_min_rotation(w) == min_rotation_naive(w)
+            assert min_rotation(w) == naive_min_rotation(w)
     for n in range(1, 9):
         for w in all_words(n, 3):
             assert min_rotation(w) == naive_min_rotation(w)
@@ -108,7 +71,7 @@ def test_palindromic_examples():
 def test_palindromic_matches_orbit_membership():
     for n in range(1, 8):
         for w in all_words(n, 3):
-            expect = reverse_word(w) in set(rotations(w))
+            expect = w[::-1] in set(rotations(w))
             assert is_palindromic_necklace(w) == expect
             for u in rotations(w):
                 assert is_palindromic_necklace(u) == expect
@@ -136,30 +99,31 @@ def test_lyndon_prefix_brute():
 
 
 def test_suffix_prefix_match():
-    assert longest_suffix_prefix_match(enc("baa"), enc("aab")) == 2
-    assert longest_suffix_prefix_match(enc("bb"), enc("aa")) == 0
+    # the automaton state after reading w: the longest suffix of w that is
+    # a prefix of the pattern
+    assert SubwordTable(enc("aab"), 2).match_state(enc("baa")) == 2
+    assert SubwordTable(enc("aa"), 2).match_state(enc("bb")) == 0
     # definitional lower bound: anything ending in v[:j] matches at least j
     rng = random.Random(1)
     for _ in range(100):
         v = tuple(rng.randrange(3) for _ in range(rng.randrange(2, 9)))
         j = rng.randrange(1, len(v) + 1)
         head = tuple(rng.randrange(3) for _ in range(rng.randrange(0, 6)))
-        assert longest_suffix_prefix_match(head + v[:j], v) >= j
+        assert SubwordTable(v, 3).match_state(head + v[:j]) >= j
 
 
 def test_suffix_prefix_match_brute():
     for nv in range(1, 6):
         for v in all_words(nv, 2):
+            table = SubwordTable(v, 2)
             for nw in range(0, 6):
                 for w in all_words(nw, 2):
                     want = max((m for m in range(1, min(nw, nv) + 1)
                                 if w[nw - m:] == v[:m]), default=0)
-                    assert longest_suffix_prefix_match(w, v) == want
+                    assert table.match_state(w) == want
 
 
 def test_empty_words_rejected():
-    with pytest.raises(ValueError):
-        rotate((), 1)
     with pytest.raises(ValueError):
         min_rotation(())
     with pytest.raises(ValueError):
@@ -192,12 +156,12 @@ def test_is_necklace():
 
 
 def test_canonical_forms():
-    cf = canonical_forms(enc("cbaa"))
-    assert cf.necklace_rep == enc("aacb")
-    assert cf.bracelet_rep == enc("aabc")
-    assert cf.period == 4
-    assert not cf.is_palindromic
-    cf = canonical_forms(enc("bababa"))
-    assert cf.necklace_rep == enc("ababab")
-    assert cf.period == 2
-    assert cf.is_palindromic
+    w = enc("cbaa")
+    assert min_rotation(w) == enc("aacb")
+    assert bracelet_representative(w) == enc("aabc")
+    assert period(w) == 4
+    assert not is_palindromic_necklace(w)
+    w = enc("bababa")
+    assert min_rotation(w) == enc("ababab")
+    assert period(w) == 2
+    assert is_palindromic_necklace(w)

@@ -1,7 +1,7 @@
 """Tiny independent helpers for the test suite.
 
-These deliberately re-derive everything by direct enumeration so tests do
-not lean on the code under test.
+These deliberately re-derive everything by direct enumeration or a
+textbook algorithm, so tests do not lean on the code under test.
 """
 
 import itertools
@@ -41,3 +41,18 @@ def palindromic_reps(n, k):
 def bracelet_reps(n, k):
     return sorted(w for w in all_words(n, k)
                   if w == min(naive_min_rotation(w), naive_min_rotation(w[::-1])))
+
+
+def lyndon_prefix_length(w):
+    """Length of the longest prefix of w that is a Lyndon word.
+
+    A Lyndon word is strictly smaller than all of its proper rotations;
+    the longest Lyndon prefix is the first factor of the standard
+    factorization (Duval's algorithm).
+    """
+    n = len(w)
+    i, j = 0, 1
+    while j < n and w[i] <= w[j]:
+        i = 0 if w[i] < w[j] else i + 1
+        j += 1
+    return j - i
