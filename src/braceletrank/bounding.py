@@ -5,8 +5,8 @@ deduplicated set of cyclic subwords of v of length l.  A word w (|w| = l,
 w not itself a subword) is *strictly bounded* by the largest subword
 s in S(v, l) with s < w; no subword lies in (s, w].  The tables built here
 answer, memoised on first use, how that bound evolves when a symbol is
-appended or prepended to w, which is what every counting DP in this
-package runs on.
+appended or prepended to w, which is what the joint and palindromic DPs
+run on.
 
 The DPs run on one integer bound code per word.  At length l, with
 S_l = len(S(v, l)), code 0 is the bottom (below every subword; the empty
@@ -66,8 +66,8 @@ class SubwordTable:
         fail, chain, thresh: failure links, border chains, and the minimal
             next symbol that avoids creating a suffix below a prefix of p
         size[l], width[l]: S_l and the number of codes (1 + 2*S_l) at length l
-        rotations, joint: the rotation-DP and joint-DP results, computed once
-            per table by the necklace and enclosing modules
+        rotations, joint: the closed-walk counts (>= p, > p) and the joint
+            count, computed once per table by the necklace and enclosing modules
 
     Lengths with as many groups as the previous length share its lists: the
     groups only split as l grows, so an equal count means equal groups.
@@ -247,31 +247,21 @@ def _strict_rows(table: SubwordTable, step) -> dict:
 
 
 def build_XW(table: SubwordTable) -> dict:
-    """Prepend transitions: (l, s, x) -> bound index at length l+1.
-
-    For every word w strictly bounded by subword s at length l, XW[(l, s, x)]
-    strictly bounds x.w.  s = None is the bottom row; value None is bottom.
-    """
+    """Prepend transitions (l, s, x) -> bound index at length l+1: for every
+    word w strictly bounded by subword s at length l, XW[(l, s, x)] strictly
+    bounds x.w.  s = None is the bottom row; value None is bottom."""
     return _strict_rows(table, table.prepend_code)
 
 
 def build_WX(table: SubwordTable) -> dict:
-    """Append transitions: (l, s, x) -> bound index at length l+1.
-
-    For every word w strictly bounded by s at length l, WX[(l, s, x)]
-    strictly bounds w.x (the result does not depend on x)."""
+    """Append transitions, as build_XW for w.x (independent of x)."""
     return _strict_rows(table, table.append_code)
 
 
 def dump_tables(table: SubwordTable, alphabet=None) -> list:
     """JSON-serializable dump of S(v, l) and the XW/WX rows per length."""
     xw, wx = build_XW(table), build_WX(table)
-
-    def fmt(val):
-        if alphabet is not None:
-            return alphabet.decode(val)
-        return list(val)
-
+    fmt = list if alphabet is None else alphabet.decode
     out = []
     for l in range(1, table.n + 1):
         entry = {"l": l, "subwords": [fmt(v) for v in table.sub[l]], "xw": {}, "wx": {}}

@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import sys
+from bisect import bisect_left
 
 from . import oracle
 from .api import count_bracelets, rank_bracelet, unrank_bracelet
@@ -23,12 +24,7 @@ from .words import Alphabet
 
 SETS = ("bracelet", "necklace", "palindromic", "enclosing")
 
-_SET_TO_KIND = {
-    "bracelet": "bracelet",
-    "necklace": "necklace",
-    "palindromic": "palindromic_necklace",
-    "enclosing": "enclosing",
-}
+_SET_TO_KIND = dict(zip(SETS, ("bracelet", "necklace", "palindromic_necklace", "enclosing")))
 
 
 def _budget(args):
@@ -39,15 +35,8 @@ def _budget(args):
 
 
 def _rank_json(bd, alphabet):
-    return {
-        "word": alphabet.decode(bd.word),
-        "n": bd.n,
-        "k": bd.k,
-        "rn": str(bd.rn),
-        "rp": str(bd.rp),
-        "re": str(bd.re),
-        "rb": str(bd.rb),
-    }
+    return {"word": alphabet.decode(bd.word), "n": bd.n, "k": bd.k,
+            **{x: str(getattr(bd, x)) for x in ("rn", "rp", "re", "rb")}}
 
 
 def _cmd_rank(args):
@@ -136,13 +125,11 @@ def _cmd_verify(args):
     neck = oracle.enumerate_class("necklace", n, k, budget)
     pal = oracle.enumerate_class("palindromic_necklace", n, k, budget)
     brac = oracle.enumerate_class("bracelet", n, k, budget)
-    from bisect import bisect_left
-
+    enclosing = oracle.enclosing_counter(neck)
     checked = 0
     for w in itertools.product(range(k), repeat=n):
         bd = rank_bracelet(w, k)
-        want = (bisect_left(neck, w), bisect_left(pal, w),
-                len(oracle.oracle_enclosing(w, k, budget)), bisect_left(brac, w))
+        want = (bisect_left(neck, w), bisect_left(pal, w), enclosing(w), bisect_left(brac, w))
         got = (bd.rn, bd.rp, bd.re, bd.rb)
         if got != want:
             print(f"FAIL at {alphabet.decode(w)}: got rn/rp/re/rb={got}, oracle={want}")

@@ -8,9 +8,9 @@ inversion turns each term into word counts of the form
     W(d) = #{ w in Sigma^d : some rotation of w^(n/d) is  < v
                              and every rotation of (w^R)^(n/d) is > v }
 
-which reduce to two DPs against the prefix p = v[:d]: the one-sided
-rotation DP from the necklace module and a joint DP that tracks the word
-and its reversal simultaneously.
+which reduce to two counts against the prefix p = v[:d]: the one-sided
+closed-walk count from the necklace module and a joint DP that walks the
+word's blocks while it tracks its reversal's bound code.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .bounding import SubwordTable, cached_table
 from .errors import check
 from .necklace import (
     _class_size,
-    _rotation_layers,
-    _wrap_ok,
+    _forced_cycles,
+    _forced_run,
     count_all_rotations_geq,
     divisors,
     mobius_quotient,
@@ -30,39 +30,45 @@ from .necklace import (
 from .words import min_rotation, validate_word
 
 
+def _wrap_ok(table: SubwordTable, j, b, strict: bool) -> bool:
+    """Resolve the wrapped rotations of a finished word against p: at each
+    border m of the final match state j, the rotation there is p[:m] then
+    the word's own prefix, so comparing the word (bound code b) with the
+    cyclic subword of p at m settles it."""
+    d = table.n
+    for m in table.chain[j]:
+        r = table.cmp_with_subword(b, d, table.pos_id[d][m % d])
+        if r < 0 or (r == 0 and strict):
+            return False
+    return True
+
+
 def _joint_count(table: SubwordTable) -> int:
     """#{w : every rotation of w >= p and every rotation of w^R > p}.
 
-    Forward side: the usual (match, bound) pair for w.  Reversal side: the
-    reversed prefix is a growing suffix of w^R, so its rotations are
-    exposed one per appended symbol; open (still equal to a p-prefix)
-    rotations are summarized by their longest match lm and resolved at the
-    wrap, like the forward side but mirrored.
+    Forward: w labels one closed walk on p's automaton (necklace._rotation_dp).
+    Rotated to start after a reset, w is a sequence of blocks F[:r].x,
+    x > F[r]; the reverse condition holds for all rotations or none, so the
+    count sums, over the passing block sequences of length d, the length of
+    their last block (the one position 0 of w falls in), plus the forced
+    cycles, each checked directly.  States: {run position r: {reverse code}}.
 
-    States are nested as {j: {forward bound code: {lm*W + reverse bound
-    code: count}}}, W the number of bound codes at the current length, so
-    each layer maps every distinct reverse code once per symbol, into a
-    list, and the innermost loop is a list and a dict lookup.
-
-    Canonical classes.  A word of length l with strict code 1+s has settled
-    its comparison with each length-d rotation of p: it is above the one at
-    m iff pos_id[l][m % d] <= s.  Forward, the code is read again only at
-    the wrap, at the final borders of w; each lies in the d-l symbols to
-    come or extends a border b in chain[j], so only the rotations at
-    M(l, j) = {1..d-l} u {d-l+b : b in chain[j]} remain.  Reverse, the code
-    is that of a suffix u of w^R growing at its front; y.u meets the
-    rotation at q through u as the rotation at q+|y|, so the mid-stream
-    checks (q = 1) and the wraps longer than u reach 1..d-l, and those
-    within u reach d-l+chain[lm]: M(l, lm), lm in j's role.  Each successor
-    strict code maps to the largest 1+r, r = pos_id[l][m % d] <= s over m
-    in M, else to 0; M only shrinks as l grows, so merging is exact.
+    Reverse: w^R grows at its front, exposing one rotation per symbol; open
+    rotations (still equal to a p-prefix) are summarized by their longest
+    match lm and resolved at the wrap.  The code lm*W + b, W the number of
+    bound codes at the length, is mapped once per layer and symbol.  A strict
+    code 1+s at length l is above the rotation of p at m iff
+    pos_id[l][m % d] <= s, and only the rotations at M(l, lm) = {1..d-l} u
+    {d-l+b : b in chain[lm]} are compared again, so each maps to the largest
+    1+r, r = pos_id[l][m % d] <= s over m in M, else 0: exact, as M only
+    shrinks as l grows.
     """
     d, k = table.n, table.k
     p0 = table.p[0]
-    delta, width, chain = table.delta, table.width, table.chain
-    app, pre = table._app_cache, table._pre_cache
-    lo = [max(x, p0) for x in table.thresh]
-    states = {0: {0: {0: 1}}}
+    width, chain = table.width, table.chain
+    pre = table._pre_cache
+    forced = _forced_run(table)
+    states = {0: {0: 1}}
     for t in range(d):
         l = t + 1  # length of the successors
         w_cur, w_next, base, top = width[t], width[l], table.base[t], table.size[l]
@@ -72,75 +78,62 @@ def _joint_count(table: SubwordTable) -> int:
         canon, last = list(range(w_next)), 0
         for s in range(top):
             last = canon[s + 1] = s + 1 if s in reach else last
-        extra = {}  # j -> codes 1+r of the rotations at d-l+b, b in chain[j], descending
+        extra = {}  # lm -> codes 1+r of the rotations at d-l+b, b in chain[lm], descending
 
-        def canonical(c, j):
-            ext = extra.get(j)
+        def canonical(c, lm):
+            ext = extra.get(lm)
             if ext is None:
-                ext = extra[j] = sorted({1 + pos[(d - l + b) % d] for b in chain[j]}, reverse=True)
+                ext = extra[lm] = sorted({1 + pos[(d - l + b) % d] for b in chain[lm]},
+                                         reverse=True)
             c0 = canon[c]
             for e in ext:
                 if e <= c:
                     return e if e > c0 else c0
             return c0
 
-        present = set().union(*(rev for fwd in states.values() for rev in fwd.values()))
         s1 = table.pos_id[t][1 % d] if t else None  # p[2..t+1] as a subword
         # per symbol: reverse code -> successor, -1 where a rotation of w^R
         # drops below p
-        rmaps, pruned = {}, False
-        for x in range(p0, k):
-            rmap = rmaps[x] = [-1] * (l * w_cur)
-            for rc in present:
-                lm, br = divmod(rc, w_cur)
+        rmaps = {x: [-1] * (l * w_cur) for x in range(p0, k)}
+        for rc in set().union(*states.values()):
+            lm, br = divmod(rc, w_cur)
+            for x in range(p0, k):
+                m = lm
                 if x == p0:
                     r = table.cmp_with_subword(br, t, s1) if t else 0
                     if r < 0:
-                        pruned = True
                         continue
                     if r == 0:
-                        lm = l  # a new rotation opens
+                        m = l  # a new rotation opens
                 b2 = pre[base + br * k + x]
                 if b2 < 0:
                     b2 = table.prepend_code(t, br, x)
-                rmap[rc] = lm * w_next + canonical(b2, lm)
-        nxt = {}
-        for j, fwd in states.items():
-            dj = delta[j]
-            for x in range(lo[j], k):
-                j2 = dj[x]
-                row = nxt.setdefault(j2, {})
+                rmaps[x][rc] = m * w_next + canonical(b2, m)
+        reset = {}
+        nxt = {0: reset}
+        for r, rev in states.items():
+            fr = forced[r]
+            if l == d:  # the last symbol closes the last block
+                rev = {rc: c * (r + 1) for rc, c in rev.items()}
+            for x in range(fr + 1, k):
                 rmap = rmaps[x]
-                for bf, rev in fwd.items():
-                    b2 = app[base + bf * k + x]
-                    if b2 < 0:
-                        b2 = table.append_code(t, bf, x)
-                    b2 = canonical(b2, j2)
-                    tgt = row.get(b2)
-                    if tgt is None:
-                        tgt = row[b2] = {}
-                    for rc, c in rev.items():
-                        nrc = rmap[rc]
-                        tgt[nrc] = tgt.get(nrc, 0) + c
-        if pruned:
-            for row in nxt.values():
-                for b2, tgt in list(row.items()):
-                    tgt.pop(-1, None)
-                    if not tgt:
-                        del row[b2]
+                for rc, c in rev.items():
+                    nrc = rmap[rc]
+                    reset[nrc] = reset.get(nrc, 0) + c
+            if l < d:
+                rmap, tgt = rmaps[fr], {}
+                for rc, c in rev.items():
+                    nrc = rmap[rc]
+                    tgt[nrc] = tgt.get(nrc, 0) + c
+                nxt[r + 1] = tgt
+        for tgt in nxt.values():
+            tgt.pop(-1, None)
         states = nxt
     w_cur = width[d]
-    rev_ok, total = {}, 0
-    for j, fwd in states.items():
-        for bf, rev in fwd.items():
-            if not _wrap_ok(table, j, bf, False):
-                continue
-            for rc, c in rev.items():
-                ok = rev_ok.get(rc)
-                if ok is None:
-                    ok = rev_ok[rc] = _wrap_ok(table, *divmod(rc, w_cur), True)
-                if ok:
-                    total += c
+    total = sum(c for rc, c in states[0].items() if _wrap_ok(table, *divmod(rc, w_cur), True))
+    for word, _ in _forced_cycles(table):
+        if min_rotation((word * (d // len(word)))[::-1]) > table.p:
+            total += len(word)
     return total
 
 
@@ -162,12 +155,9 @@ def _enclosing_word_count(v, k: int, d: int) -> int:
     wj = table.joint
     t2 = t3 = 0
     if cls:
-        rots = {p[i:] + p[:i] for i in range(d)}
         if pw > v:
             # reversed class members that also pass the forward condition
-            for w in {r[::-1] for r in rots}:
-                if all(w[i:] + w[:i] >= p for i in range(d)):
-                    t2 += 1
+            t2 = sum(min_rotation(w) >= p for w in {(p[i:] + p[:i])[::-1] for i in range(d)})
         if pw < v and min_rotation(p[::-1]) > p:
             # every class member of p satisfies the reversal condition
             t3 = cls
@@ -186,6 +176,23 @@ def rank_enclosing(v, k: int) -> int:
 
 # --- diagnostic suffix-state layers ----------------------------------------
 
+def _rotation_layers(table: SubwordTable):
+    """Yield, after each symbol t = 1..|p|, the distribution
+    {match state: {bound code: count}} of all words w of length t whose
+    every suffix is >= the same-length prefix of p."""
+    states = {0: {0: 1}}
+    for t in range(table.n):
+        nxt = {}
+        for j, row in states.items():
+            for x in range(table.thresh[j], table.k):
+                tgt = nxt.setdefault(table.delta[j][x], {})
+                for b, c in row.items():
+                    r = table.append_code(t, b, x)
+                    tgt[r] = tgt.get(r, 0) + c
+        states = nxt
+        yield states
+
+
 def build_SE(v, k: int) -> dict:
     """Suffix-fragment state counts SE[(x, i, j, s)].
 
@@ -195,8 +202,8 @@ def build_SE(v, k: int) -> dict:
     longest suffix of y equal to a prefix of v, and s is y's bound state
     in S(v, n-i) encoded as ("exact", id) or ("strict", id).
 
-    These are the per-layer invariants the enclosing count runs on; the
-    array is exposed for inspection and ground-truth testing.
+    These are the layers of the DP over bound codes that the closed-walk
+    counts replaced, kept for inspection and ground-truth testing.
     """
     n = len(v)
     table = cached_table(tuple(v), k)

@@ -4,7 +4,8 @@ Necklace representatives of length n are exactly the powers c^(n/e) of
 Lyndon words c with e | n, so the rank decomposes over divisors and the
 per-divisor terms reduce, by Mobius inversion, to counts of words all of
 whose rotations stay at or above a prefix of the query word.  That last
-count is the workhorse DP shared with the enclosing-bracelet module.
+count, shared with the enclosing-bracelet module, counts closed walks on the
+prefix's matching automaton.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ def divisors(n: int) -> list:
 
 
 def mobius(m: int) -> int:
-    if m == 1:
-        return 1
     res, q = 1, 2
     while q * q <= m:
         if m % q == 0:
@@ -29,57 +28,66 @@ def mobius(m: int) -> int:
                 return 0
             res = -res
         q += 1
-    if m > 1:
-        res = -res
-    return res
+    return -res if m > 1 else res
 
 
-def _rotation_layers(table: SubwordTable):
-    """Yield, after each symbol t = 1..|p|, the distribution
-    {match state: {bound code: count}} of all words w of length t whose
-    every suffix is >= the same-length prefix of p."""
-    k, delta, thresh = table.k, table.delta, table.thresh
-    memo = table._app_cache
-    states = {0: {0: 1}}
-    for t in range(table.n):
-        base = table.base[t]
-        nxt = {}
-        for j, row in states.items():
-            dj = delta[j]
-            for x in range(thresh[j], k):
-                tgt = nxt.setdefault(dj[x], {})
-                for b, c in row.items():
-                    r = memo[base + b * k + x]
-                    if r < 0:
-                        r = table.append_code(t, b, x)
-                    tgt[r] = tgt.get(r, 0) + c
-        states = nxt
-        yield states
+def _forced_run(table: SubwordTable) -> list:
+    """F: the |p| forced symbols read from state 0 of p's automaton.  From
+    state j, symbols >= thresh[j] keep every suffix at or above the p-prefix
+    of its length: thresh[j] is forced, to f(j) = delta[j][thresh[j]] >= 1,
+    and each larger one extends no border, so it resets to state 0."""
+    delta, thresh = table.delta, table.thresh
+    out, j = [], 0
+    for _ in range(table.n):
+        out.append(thresh[j])
+        j = delta[j][thresh[j]]
+    return out
 
 
-def _rotation_dp(table: SubwordTable):
-    """Final distribution {match state: {bound code: count}} of all words w
-    of length |p| whose every suffix is >= the same-length prefix of p and
-    whose every rotation is therefore undecided only at the wrap."""
-    for states in _rotation_layers(table):
-        pass
-    return states
+def _forced_cycles(table: SubwordTable) -> list:
+    """The cycles of f with length L | d = |p|, as (the word they read,
+    whether they pass state d): the L closed walks of length d without a
+    reset, one per start state, reading the rotations of word^(d/L)."""
+    d, delta, thresh = table.n, table.delta, table.thresh
+    seen, out = [0] * (d + 1), []  # 0 unseen, 1 on the current path, 2 done
+    for s in range(d + 1):
+        path, j = [], s
+        while not seen[j]:
+            seen[j] = 1
+            path.append(j)
+            j = delta[j][thresh[j]]
+        if seen[j] == 1 and d % (len(path) - path.index(j)) == 0:
+            cyc = path[path.index(j):]
+            out.append((tuple(thresh[i] for i in cyc), d in cyc))
+        for i in path:
+            seen[i] = 2
+    return out
 
 
-def _wrap_ok(table: SubwordTable, j, b, strict: bool) -> bool:
-    """Resolve the wrapped rotations of a finished word against p.
+def _rotation_dp(table: SubwordTable) -> tuple:
+    """(#words of length d = |p| whose every rotation is >= p, and > p).
 
-    For every border m of the final match state j, the rotation starting at
-    that border equals p[:m] followed by the word's own prefix; comparing
-    the word (bound code b) with the cyclic subword of p starting at
-    position m settles it.
-    """
-    d = table.n
-    for m in table.chain[j]:
-        r = table.cmp_with_subword(b, d, table.pos_id[d][m % d])
-        if r < 0 or (r == 0 and strict):
-            return False
-    return True
+    Such a word labels exactly one closed walk of length d on p's automaton:
+    its state at each position is the longest suffix of the cyclic word up
+    to there that is a prefix of p.  A walk with a reset cuts into blocks
+    F[:r].x, x > F[r]; by the block that position 0 falls in, with
+    c(r) = k-1-F[r] and B(m) the block sequences of length m,
+
+        A(p) = sum over r < d of (r+1) c(r) B(d-r-1)  +  forced cycles,
+        B(0) = 1,  B(m) = sum over r < m of c(r) B(m-r-1).
+
+    A rotation equal to p enters state d, which no block shorter than d
+    does, so the strict count drops the forced cycle through d.  O(d^2)
+    (Kociumaka, Radoszewski & Rytter, SIAM J. Discrete Math. 30(4), 2016)."""
+    d, k = table.n, table.k
+    c = [k - 1 - x for x in _forced_run(table)]
+    b = [1]
+    for m in range(1, d):
+        b.append(sum(c[r] * b[m - r - 1] for r in range(m) if c[r]))
+    blocks = sum((r + 1) * c[r] * b[d - r - 1] for r in range(d) if c[r])
+    cycles = _forced_cycles(table)
+    total = blocks + sum(len(w) for w, _ in cycles)
+    return total, total - sum(len(w) for w, through in cycles if through)
 
 
 def count_all_rotations_geq(w, k: int, strict: bool = False) -> int:
@@ -89,8 +97,7 @@ def count_all_rotations_geq(w, k: int, strict: bool = False) -> int:
     table = cached_table(w, k)
     if table.rotations is None:
         table.rotations = _rotation_dp(table)
-    return sum(c for j, row in table.rotations.items()
-               for b, c in row.items() if _wrap_ok(table, j, b, strict))
+    return table.rotations[bool(strict)]
 
 
 def _class_size(p) -> int:

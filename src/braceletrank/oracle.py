@@ -8,7 +8,7 @@ Inputs are checked like those of the polynomial entry points.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .words import (
     alphabet_size,
@@ -74,6 +74,16 @@ def oracle_enclosing(v, k: int, budget: int | None = None) -> list:
         if g > w and w < v < g:
             out.append(w)
     return out
+
+
+def enclosing_counter(necklaces: list):
+    """v -> len(oracle_enclosing(v, k)) for the words v of the length of the
+    sorted necklace representatives given: over the pairs w < g of a
+    representative and that of its reversal, #{w < v} - #{g <= v}."""
+    pairs = [(w, g) for w in necklaces for g in [min_rotation(w[::-1])] if g > w]
+    lo = [w for w, _ in pairs]
+    hi = sorted(g for _, g in pairs)
+    return lambda v: bisect_left(lo, v) - bisect_right(hi, v)
 
 
 def oracle_rank(kind: str, v, k: int, budget: int | None = None) -> int:

@@ -143,14 +143,18 @@ def _close_all(table, states, l, close, k) -> int:
     return total
 
 
+def _floored(v, k, odd: int, name: str):
+    v, k = validate_word(v, k)
+    if len(v) % 2 != odd:
+        raise ValueError(f"{name} requires {'odd' if odd else 'even'} length")
+    return floor_necklace(v, k), k
+
+
 def size_PO(v, k: int) -> int:
     """Number of words phi.x.reverse(phi) of odd length |v| whose class
     minimum is strictly above v."""
-    v, k = validate_word(v, k)
+    v, k = _floored(v, k, 1, "size_PO")
     n = len(v)
-    if n % 2 == 0:
-        raise ValueError("size_PO requires odd length")
-    v = floor_necklace(v, k)
     if n == 1:
         return k - 1 - v[0]
     table = cached_table(v, k)
@@ -160,23 +164,16 @@ def size_PO(v, k: int) -> int:
 def size_PE(v, k: int) -> int:
     """Number of words x.phi.y.reverse(phi) of even length |v| whose class
     minimum is strictly above v."""
-    v, k = validate_word(v, k)
-    n = len(v)
-    if n % 2 == 1:
-        raise ValueError("size_PE requires even length")
-    v = floor_necklace(v, k)
-    table = cached_table(v, k)
+    v, k = _floored(v, k, 0, "size_PE")
+    table, n = cached_table(v, k), len(v)
     return _close_all(table, _layers(table, k, n - 1), n - 1, _close_one, k)
 
 
 def size_PS(v, k: int) -> int:
     """Number of words phi.reverse(phi) of even length |v| whose class
     minimum is strictly above v."""
-    v, k = validate_word(v, k)
+    v, k = _floored(v, k, 0, "size_PS")
     n = len(v)
-    if n % 2 == 1:
-        raise ValueError("size_PS requires even length")
-    v = floor_necklace(v, k)
     if n == 2:
         return sum(1 for z in range(k) if (z, z) > v)
     table = cached_table(v, k)
@@ -214,39 +211,30 @@ def rank_palindromic(v, k: int) -> int:
 
 # --- diagnostic layer dumps -------------------------------------------------
 
+def _layer_counts(v, k, final_len, index) -> dict:
+    if min_rotation(tuple(v)) != tuple(v):
+        raise ValueError("layer dumps require a necklace representative")
+    out = {}
+
+    def sink(dl, states):
+        for (j, sidx), c in states.items():
+            out[(index(dl), j, sidx)] = c
+
+    _layers(cached_table(tuple(v), k), k, final_len, sink)
+    return out
+
+
 def po_layer_counts(v, k: int) -> dict:
     """Strict-branch cell counts {(i, j, s): count} of the odd-case DP:
     i prefixes u with doubled word reverse(u).u of length 2i, longest
     v-prefix suffix j, strictly bounded by subword s.  v must be a
     necklace representative."""
-    _require_necklace(v)
-    table = cached_table(tuple(v), k)
-    out = {}
-
-    def sink(dl, states):
-        for (j, sidx), c in states.items():
-            out[(dl // 2, j, sidx)] = c
-
-    _layers(table, k, len(v) - 1 if len(v) % 2 else len(v) - 2, sink)
-    return out
+    n = len(v)
+    return _layer_counts(v, k, n - 1 if n % 2 else n - 2, lambda dl: dl // 2)
 
 
 def pe_layer_counts(v, k: int) -> dict:
     """Strict-branch cell counts {(i, j, s): count} of the even-case DP:
     prefixes x.phi of length i with doubled word reverse(phi).x.phi of
     length 2i - 1.  v must be a necklace representative."""
-    _require_necklace(v)
-    table = cached_table(tuple(v), k)
-    out = {}
-
-    def sink(dl, states):
-        for (j, sidx), c in states.items():
-            out[((dl + 1) // 2, j, sidx)] = c
-
-    _layers(table, k, len(v) - 1, sink)
-    return out
-
-
-def _require_necklace(v):
-    if min_rotation(tuple(v)) != tuple(v):
-        raise ValueError("layer dumps require a necklace representative")
+    return _layer_counts(v, k, len(v) - 1, lambda dl: (dl + 1) // 2)

@@ -1,14 +1,16 @@
 """Reference counts the tests compare the package against.
 
 Definition-level brute force for the DP cells and the mirrored-form sizes,
-the bisect bound of a word, and the single-form split of the even-length
-palindromic count with its odd-period correction term (ERRATA #3).
+the bisect bound of a word, the single-form split of the even-length
+palindromic count with its odd-period correction term (ERRATA #3), and the
+DPs over bound codes that the closed-walk counts replaced.
 """
 
 import itertools
 from bisect import bisect_left, bisect_right
 
 from braceletrank.bounding import SubwordTable, cached_table
+from braceletrank.enclosing import _rotation_layers, _wrap_ok
 from braceletrank.errors import check
 from braceletrank.palindromic import size_PE, size_PO, size_PS
 from braceletrank.words import floor_necklace, min_rotation, validate_word
@@ -193,3 +195,79 @@ def gs(v, k: int) -> int:
     b = odd_period_palindromic_above(v, k)
     check((ps + b) % 2 == 0, "size_PS and the odd-period term out of parity")
     return (ps + b) // 2
+
+
+# --- the DPs over bound codes that the closed-walk counts replaced ---------
+
+def rotation_count_dp(p, k: int, strict: bool = False) -> int:
+    """#words of length |p| whose every rotation is >= p (> p when strict),
+    by the DP over (match state, bound code) resolved at the wrap."""
+    table = SubwordTable(tuple(p), k)
+    for states in _rotation_layers(table):
+        pass
+    return sum(c for j, row in states.items()
+               for b, c in row.items() if _wrap_ok(table, j, b, strict))
+
+
+def joint_count_dp(table: SubwordTable) -> int:
+    """#{w : every rotation of w >= p and every rotation of w^R > p}.
+
+    Forward side: the usual (match, bound) pair for w.  Reversal side: the
+    reversed prefix is a growing suffix of w^R, so its rotations are
+    exposed one per appended symbol; open (still equal to a p-prefix)
+    rotations are summarized by their longest match lm and resolved at the
+    wrap, like the forward side but mirrored.
+
+    Canonical classes.  A word of length l with strict code 1+s has settled
+    its comparison with each length-d rotation of p: it is above the one at
+    m iff pos_id[l][m % d] <= s.  Forward, the code is read again only at
+    the wrap, at the final borders of w; each lies in the d-l symbols to
+    come or extends a border b in chain[j], so only the rotations at
+    M(l, j) = {1..d-l} u {d-l+b : b in chain[j]} remain.  Reverse, the same
+    holds with the longest open match lm in j's role.  Each successor strict
+    code maps to the largest 1+r, r = pos_id[l][m % d] <= s over m in M,
+    else to 0.
+    """
+    d, k = table.n, table.k
+    p0 = table.p[0]
+    delta, width, chain = table.delta, table.width, table.chain
+    lo = [max(x, p0) for x in table.thresh]
+    states = {0: {0: {0: 1}}}
+    for t in range(d):
+        l = t + 1
+        w_cur, w_next, top = width[t], width[l], table.size[l]
+        pos = table.pos_id[l]
+        reach = {pos[m] for m in range(1, d - l + 1)}
+        canon, last = list(range(w_next)), 0
+        for s in range(top):
+            last = canon[s + 1] = s + 1 if s in reach else last
+
+        def canonical(c, j):
+            for e in sorted({1 + pos[(d - l + b) % d] for b in chain[j]}, reverse=True):
+                if e <= c:
+                    return e if e > canon[c] else canon[c]
+            return canon[c]
+
+        s1 = table.pos_id[t][1 % d] if t else None
+        nxt = {}
+        for j, fwd in states.items():
+            for x in range(lo[j], k):
+                j2 = delta[j][x]
+                row = nxt.setdefault(j2, {})
+                for bf, rev in fwd.items():
+                    b2 = canonical(table.append_code(t, bf, x), j2)
+                    tgt = row.setdefault(b2, {})
+                    for rc, c in rev.items():
+                        lm, br = divmod(rc, w_cur)
+                        if x == p0:
+                            r = table.cmp_with_subword(br, t, s1) if t else 0
+                            if r < 0:
+                                continue
+                            if r == 0:
+                                lm = l
+                        nrc = lm * w_next + canonical(table.prepend_code(t, br, x), lm)
+                        tgt[nrc] = tgt.get(nrc, 0) + c
+        states = nxt
+    return sum(c for j, fwd in states.items() for bf, rev in fwd.items()
+               if _wrap_ok(table, j, bf, False)
+               for rc, c in rev.items() if _wrap_ok(table, *divmod(rc, width[d]), True))

@@ -1,0 +1,48 @@
+"""The closed-walk counts against the DPs over bound codes they replaced.
+
+necklace._rotation_dp counts the words whose rotations all stay at or above
+a pattern (strictly and not) as closed walks on the pattern's automaton, and
+enclosing._joint_count walks the blocks of those words while it tracks the
+reversal.  reference.py keeps the earlier DPs over (match state, bound
+code), an independent algorithm that reaches sizes the oracle cannot.
+"""
+
+import random
+
+import pytest
+
+from braceletrank.bounding import SubwordTable
+from braceletrank.enclosing import _joint_count
+from braceletrank.necklace import _rotation_dp
+from reference import joint_count_dp, rotation_count_dp
+from util import all_words, naive_min_rotation
+
+
+def _agree(p, k):
+    got = _rotation_dp(SubwordTable(p, k))
+    assert got == (rotation_count_dp(p, k), rotation_count_dp(p, k, strict=True)), p
+    assert _joint_count(SubwordTable(p, k)) == joint_count_dp(SubwordTable(p, k)), p
+
+
+@pytest.mark.parametrize("k,dmax", [(2, 10), (3, 6), (4, 5)])
+def test_every_small_pattern(k, dmax):
+    for d in range(1, dmax + 1):
+        for p in all_words(d, k):
+            _agree(p, k)
+
+
+def _large_patterns():
+    rng = random.Random(6)
+    out = []
+    for k, d in ((2, 60), (2, 45), (3, 40), (4, 30)):
+        w = tuple(rng.randrange(k) for _ in range(d))
+        out += [(w, k), (naive_min_rotation(w), k)]
+    for unit, k in (((0, 1), 2), ((0, 0, 1, 0, 1), 2), ((0, 2, 1), 3), ((1, 0, 3), 4)):
+        out.append((unit * (60 // len(unit)), k))
+    out += [((0,) * 60, 2), ((1,) * 60, 2), ((2,) * 40, 3)]
+    return [pytest.param(p, k, id=f"{i}-d{len(p)}k{k}") for i, (p, k) in enumerate(out)]
+
+
+@pytest.mark.parametrize("p,k", _large_patterns())
+def test_random_periodic_and_constant_patterns(p, k):
+    _agree(p, k)

@@ -1,12 +1,15 @@
 """Exact ranks far beyond the oracle's reach.
 
-golden_large.json holds rn/rp/re/rb of eight seeded random necklace
+golden_large.json holds rn/rp/re/rb of ten seeded random necklace
 representatives.  The first six (n = 100..128 at k = 2, n = 60..72 at k = 3
 and 4) were computed by the tuple-state implementation that preceded the
-integer-coded DPs (commit e81b56d); the last two (n = 150 at k = 2, n = 90 at
+integer-coded DPs (commit e81b56d); the next two (n = 150 at k = 2, n = 90 at
 k = 3) by the integer-coded DPs before the joint DP merged its bound codes
-into canonical classes (commit bf1fb8b).  A change to the DPs that alters
-any answer at scale shows here.
+into canonical classes (commit bf1fb8b); the last two (n = 200 at k = 2 from
+random.Random(200), n = 120 at k = 3 from random.Random(120), each the
+smallest rotation of a uniform random word) by the DPs over bound codes that
+preceded the closed-walk counts (commit 16f1539).  A change to the DPs that
+alters any answer at scale shows here.
 """
 
 import json

@@ -2,11 +2,12 @@ import pytest
 
 from braceletrank.oracle import (
     BudgetExceededError,
+    enclosing_counter,
     enumerate_class,
     oracle_enclosing,
     oracle_rank,
 )
-from util import enc, naive_min_rotation
+from util import all_words, enc, naive_min_rotation
 
 
 def _totient(m):
@@ -63,6 +64,13 @@ def test_enclosing_examples():
     assert oracle_enclosing(enc("acc"), 4) == [enc("abd")]
     assert oracle_enclosing((0,) * 6, 2) == []
     assert enc("aabc") in oracle_enclosing(enc("aaca"), 4)
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (5, 3)])
+def test_enclosing_counter_matches_scan(n, k):
+    count = enclosing_counter(enumerate_class("necklace", n, k))
+    for w in all_words(n, k):
+        assert count(w) == len(oracle_enclosing(w, k)), w
 
 
 def test_oracle_rank():

@@ -96,6 +96,14 @@ real = m._count_min_rot_below
 m._count_min_rot_below = lambda v, k, d: real(v, k, d) + (d == len(v))
 m.rank_necklaces((0, 1, 1, 0, 1, 1), 2)
 """,
+    # the joint count of the full-length prefix alone: W(n) moves by one,
+    # which the divisor sum of e = n no longer divides
+    "joint_count": """
+import braceletrank.enclosing as m
+real = m._joint_count
+m._joint_count = lambda table: real(table) + (table.n == 6)
+m.rank_enclosing((0, 0, 1, 0, 1, 1), 2)
+""",
     "palindromic_parity": """
 import braceletrank.palindromic as m
 real = m.size_PS
