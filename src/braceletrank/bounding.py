@@ -24,7 +24,7 @@ rank arithmetic on those arrays: O(n^2) integers in all.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 
 from .words import _failure
@@ -148,23 +148,6 @@ class SubwordTable:
         self._pre_cache = [-1] * self.base[n]
         self.rotations = self.joint = None
 
-    def weak_code(self, val) -> int:
-        """Code of the word val: exact if val is a subword, otherwise the
-        strict bound (largest subword < val), 0 if none."""
-        vals = self.sub[len(val)]
-        i = bisect_right(vals, val)
-        if i and vals[i - 1] == val:
-            return self.size[len(val)] + i
-        return i
-
-    def match_state(self, val) -> int:
-        """Automaton state after reading val: longest suffix of val that is
-        a prefix of the pattern."""
-        j = 0
-        for x in val:
-            j = self.delta[j][x]
-        return j
-
     # ---- bound-state transitions ----
 
     def append_code(self, l: int, code: int, x: int) -> int:
@@ -226,6 +209,19 @@ class SubwordTable:
             i = code - 1 - self.size[l]
             return (i > sub_id) - (i < sub_id)
         return 1 if sub_id < code else -1
+
+    def wrap_ok(self, j: int, code: int, strict: bool) -> bool:
+        """Resolve the wrapped rotations of a finished word of length n
+        against p: at each border m of the final match state j, the
+        rotation there is p[:m] then the word's own prefix, so comparing
+        the word (bound code at length n) with the cyclic subword of p at m
+        settles it; strict asks for every rotation > p, else >= p."""
+        n = self.n
+        for m in self.chain[j]:
+            r = self.cmp_with_subword(code, n, self.pos_id[n][m % n])
+            if r < 0 or (r == 0 and strict):
+                return False
+        return True
 
 
 @lru_cache(maxsize=64)

@@ -30,19 +30,6 @@ from .necklace import (
 from .words import min_rotation, validate_word
 
 
-def _wrap_ok(table: SubwordTable, j, b, strict: bool) -> bool:
-    """Resolve the wrapped rotations of a finished word against p: at each
-    border m of the final match state j, the rotation there is p[:m] then
-    the word's own prefix, so comparing the word (bound code b) with the
-    cyclic subword of p at m settles it."""
-    d = table.n
-    for m in table.chain[j]:
-        r = table.cmp_with_subword(b, d, table.pos_id[d][m % d])
-        if r < 0 or (r == 0 and strict):
-            return False
-    return True
-
-
 def _joint_count(table: SubwordTable) -> int:
     """#{w : every rotation of w >= p and every rotation of w^R > p}.
 
@@ -130,7 +117,7 @@ def _joint_count(table: SubwordTable) -> int:
             tgt.pop(-1, None)
         states = nxt
     w_cur = width[d]
-    total = sum(c for rc, c in states[0].items() if _wrap_ok(table, *divmod(rc, w_cur), True))
+    total = sum(c for rc, c in states[0].items() if table.wrap_ok(*divmod(rc, w_cur), True))
     for word, _ in _forced_cycles(table):
         if min_rotation((word * (d // len(word)))[::-1]) > table.p:
             total += len(word)

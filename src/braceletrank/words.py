@@ -146,75 +146,27 @@ def _failure(v: Word) -> list:
     return fail
 
 
-# --- prenecklace machinery (prefixes of necklaces) -------------------------
-
-def is_prenecklace(w: Word) -> bool:
-    """True iff w is a prefix of some necklace, i.e. no suffix of w is
-    smaller than the prefix of w of the same length."""
-    return _lyn_or_none(w) is not None
-
-
-def _lyn_or_none(w):
-    # Duval state for a prenecklace; None if w is not one
-    l = 1
-    for t in range(1, len(w)):
-        c = w[t - l]
-        if w[t] < c:
-            return None
-        if w[t] > c:
-            l = t + 1
-    return l
-
-
 def floor_necklace(w: Word, k: int) -> Word:
-    """Largest necklace representative <= w over a k-letter alphabet."""
+    """Largest necklace representative <= w over a k-letter alphabet.
+
+    Walks down the prenecklaces (prefixes of necklaces).  Duval's scan
+    keeps p, the length of the longest Lyndon prefix, and stops where a
+    symbol drops below its copy p places back.  A prenecklace with p | n is
+    a necklace.  Otherwise every necklace below w first differs from it at
+    or before w[p-1], the last symbol that rose above its copy: lowering a
+    copied symbol leaves the prenecklaces.  So the floor of w is the floor
+    of w with w[p-1] lowered by one and every later symbol raised to k-1.
+    """
     _check_nonempty(w)
     if any(x < 0 or x >= k for x in w):
         raise ValueError("symbol index out of range")
-    if is_necklace(w):
-        return w
-    n = len(w)
-    for i in range(n - 1, -1, -1):
-        if not is_prenecklace(w[:i]):
-            continue
-        for x in range(w[i] - 1, -1, -1):
-            p = w[:i] + (x,)
-            if _lyn_or_none(p) is None:
-                continue
-            q = _complete_necklace(p, n, k)
-            if q is not None:
-                return q
-    raise AssertionError("unreachable: the all-minimal word is a necklace")
-
-
-def _complete_necklace(p, n, k):
-    """Largest necklace of length n with prenecklace prefix p, or None."""
-    w = list(p)
-    while len(w) < n:
-        for x in range(k - 1, -1, -1):
-            l = _lyn_or_none(tuple(w) + (x,))
-            if l is None:
-                continue
-            if _can_finish(w + [x], l, n, k):
-                w.append(x)
-                break
-        else:
-            return None
-    l = _lyn_or_none(tuple(w))
-    return tuple(w) if l is not None and n % l == 0 else None
-
-
-def _can_finish(w, l, n, k):
-    # copy-filling keeps the Lyndon prefix length l; breaking above the
-    # copied symbol at any position makes the whole word Lyndon
-    t = len(w)
-    if t == n:
-        return n % l == 0
-    if n % l == 0:
-        return True
-    ww = list(w)
-    for m in range(t + 1, n + 1):
-        if ww[m - 1 - l] < k - 1:
-            return True
-        ww.append(ww[m - 1 - l])
-    return False
+    w, n = list(w), len(w)
+    while True:
+        p, i = 1, 1
+        while i < n and w[i] >= w[i - p]:
+            if w[i] > w[i - p]:
+                p = i + 1
+            i += 1
+        if i == n and n % p == 0:
+            return tuple(w)
+        w[p - 1:] = [w[p - 1] - 1] + [k - 1] * (n - p)

@@ -1,16 +1,17 @@
 """Reference counts the tests compare the package against.
 
 Definition-level brute force for the DP cells and the mirrored-form sizes,
-the bisect bound of a word, the single-form split of the even-length
-palindromic count with its odd-period correction term (ERRATA #3), and the
-DPs over bound codes that the closed-walk counts replaced.
+the bisect bound and bound code of a word, the single-form split of the
+even-length palindromic count with its odd-period correction term
+(ERRATA #3), and the DPs over bound codes that the closed-walk counts
+replaced.
 """
 
 import itertools
 from bisect import bisect_left, bisect_right
 
 from braceletrank.bounding import SubwordTable, cached_table
-from braceletrank.enclosing import _rotation_layers, _wrap_ok
+from braceletrank.enclosing import _rotation_layers
 from braceletrank.errors import check
 from braceletrank.palindromic import size_PE, size_PO, size_PS
 from braceletrank.words import floor_necklace, min_rotation, validate_word
@@ -29,6 +30,16 @@ def bound_of(w, table: SubwordTable, strict: bool = True):
     w = tuple(w)
     i = bisect_left(vals, w) if strict else bisect_right(vals, w)
     return i - 1 if i else None
+
+
+def code_of(w, table: SubwordTable) -> int:
+    """Bound code of w at length |w|: 1+S+i when w is subword i, else 1+s
+    for its strict bound s, 0 for the bottom."""
+    w, vals = tuple(w), table.sub[len(w)]
+    s = bound_of(w, table, strict=False)
+    if s is not None and vals[s] == w:
+        return 1 + table.size[len(w)] + s
+    return 0 if s is None else 1 + s
 
 
 # --- reference counts for the DP cell invariants ---------------------------
@@ -206,7 +217,7 @@ def rotation_count_dp(p, k: int, strict: bool = False) -> int:
     for states in _rotation_layers(table):
         pass
     return sum(c for j, row in states.items()
-               for b, c in row.items() if _wrap_ok(table, j, b, strict))
+               for b, c in row.items() if table.wrap_ok(j, b, strict))
 
 
 def joint_count_dp(table: SubwordTable) -> int:
@@ -269,5 +280,5 @@ def joint_count_dp(table: SubwordTable) -> int:
                         tgt[nrc] = tgt.get(nrc, 0) + c
         states = nxt
     return sum(c for j, fwd in states.items() for bf, rev in fwd.items()
-               if _wrap_ok(table, j, bf, False)
-               for rc, c in rev.items() if _wrap_ok(table, *divmod(rc, width[d]), True))
+               if table.wrap_ok(j, bf, False)
+               for rc, c in rev.items() if table.wrap_ok(*divmod(rc, width[d]), True))

@@ -2,7 +2,7 @@ import pytest
 
 from braceletrank.bounding import SubwordTable, build_WX, build_XW, dump_tables
 from braceletrank.words import Alphabet
-from reference import bound_of
+from reference import bound_of, code_of
 from util import all_words, enc
 
 
@@ -89,8 +89,8 @@ def test_exact_state_transitions_match_values():
                 for i, val in enumerate(t.sub[l]):
                     exact = 1 + t.size[l] + i
                     for x in range(2):
-                        assert t.append_code(l, exact, x) == t.weak_code(val + (x,))
-                        assert t.prepend_code(l, exact, x) == t.weak_code((x,) + val)
+                        assert t.append_code(l, exact, x) == code_of(val + (x,), t)
+                        assert t.prepend_code(l, exact, x) == code_of((x,) + val, t)
 
 
 def test_prepend_from_bottom():

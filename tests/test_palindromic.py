@@ -4,8 +4,10 @@ import pytest
 
 from braceletrank.bounding import cached_table
 from braceletrank.palindromic import (
-    _close_one,
+    _above,
+    _append_one,
     _greater_even,
+    _layers,
     pe_layer_counts,
     po_layer_counts,
     rank_palindromic,
@@ -21,6 +23,7 @@ from reference import (
     brute_size_pe,
     brute_size_po,
     brute_size_ps,
+    code_of,
     ge,
     gs,
     odd_period_palindromic_above,
@@ -40,8 +43,8 @@ def test_size_x_examples():
 
 
 def test_size_x_matches_internal_closure_on_reachable_states():
-    # the simple comparison and the per-border closure agree wherever the
-    # layer DP can actually land
+    # the simple comparison and the closing step (one appended symbol, then
+    # the wrap check) agree wherever the layer DP can actually land
     for k, nmax in ((2, 9), (3, 7)):
         for n in range(3, nmax + 1, 2):
             for v in all_words(n, k):
@@ -53,7 +56,34 @@ def test_size_x_matches_internal_closure_on_reachable_states():
                 for (i, j, s) in cells:
                     if i == (n - 1) // 2 and (j, s) not in seen:
                         seen.add((j, s))
-                        assert _close_one(t, j, s, False, k) == size_X(v, k, j, s)
+                        closed = _above(t, _append_one(t, {(j, 1 + s): 1}, k))
+                        assert closed == size_X(v, k, j, s)
+
+
+def test_exact_states_are_the_palindromic_subwords():
+    # at every length the walks hold each palindromic cyclic subword of v
+    # once, as its exact code with its longest suffix matching a v-prefix,
+    # and no other exact code
+    for n in range(1, 10):
+        for v in all_words(n, 2):
+            if not is_necklace(v):
+                continue
+            t = cached_table(v, 2)
+            layers = {}
+
+            def sink(l, states):
+                layers[l] = {key: c for key, c in states.items() if key[1] > t.size[l]}
+
+            _layers(t, 2, n, sink)
+            _layers(t, 2, n - 1, sink)
+            assert sorted(layers) == list(range(1, n + 1))
+            for l, exact in layers.items():
+                want = {}
+                for w in t.sub[l]:
+                    if w == w[::-1]:
+                        j = max((m for m in range(1, l + 1) if w[l - m:] == v[:m]), default=0)
+                        want[(j, code_of(w, t))] = 1
+                assert exact == want, (v, l)
 
 
 def test_size_po_examples():

@@ -3,17 +3,18 @@ import random
 import pytest
 
 from braceletrank.bounding import SubwordTable
+from braceletrank.necklace import rank_necklaces
 from braceletrank.words import (
     Alphabet,
     bracelet_representative,
     floor_necklace,
     is_necklace,
     is_palindromic_necklace,
-    is_prenecklace,
     min_rotation,
     period,
 )
-from util import all_words, enc, lyndon_prefix_length, naive_min_rotation, necklace_reps, rotations
+from util import (all_words, enc, lyndon_prefix_length, match_state, naive_min_rotation, necklace_reps,
+                  rotations)
 
 
 def test_alphabet_roundtrip():
@@ -101,15 +102,15 @@ def test_lyndon_prefix_brute():
 def test_suffix_prefix_match():
     # the automaton state after reading w: the longest suffix of w that is
     # a prefix of the pattern
-    assert SubwordTable(enc("aab"), 2).match_state(enc("baa")) == 2
-    assert SubwordTable(enc("aa"), 2).match_state(enc("bb")) == 0
+    assert match_state(SubwordTable(enc("aab"), 2), enc("baa")) == 2
+    assert match_state(SubwordTable(enc("aa"), 2), enc("bb")) == 0
     # definitional lower bound: anything ending in v[:j] matches at least j
     rng = random.Random(1)
     for _ in range(100):
         v = tuple(rng.randrange(3) for _ in range(rng.randrange(2, 9)))
         j = rng.randrange(1, len(v) + 1)
         head = tuple(rng.randrange(3) for _ in range(rng.randrange(0, 6)))
-        assert SubwordTable(v, 3).match_state(head + v[:j]) >= j
+        assert match_state(SubwordTable(v, 3), head + v[:j]) >= j
 
 
 def test_suffix_prefix_match_brute():
@@ -120,7 +121,7 @@ def test_suffix_prefix_match_brute():
                 for w in all_words(nw, 2):
                     want = max((m for m in range(1, min(nw, nv) + 1)
                                 if w[nw - m:] == v[:m]), default=0)
-                    assert table.match_state(w) == want
+                    assert match_state(table, w) == want
 
 
 def test_empty_words_rejected():
@@ -141,12 +142,16 @@ def test_floor_necklace_exhaustive():
                 assert floor_necklace(w, k) == reps[i - 1]
 
 
-def test_prenecklace_matches_definition():
-    # a prenecklace is exactly a word with no suffix below the
-    # same-length prefix
-    for n in range(1, 9):
-        for w in all_words(n, 2):
-            assert is_prenecklace(w) == all(w[q:] >= w[: n - q] for q in range(1, n))
+def test_floor_necklace_past_the_oracle():
+    # no necklace lies in (floor(w), w]: the closed-walk necklace ranks,
+    # which never floor, count none there
+    rng = random.Random(17)
+    for _ in range(60):
+        n, k = rng.randint(17, 200), rng.randint(2, 4)
+        w = tuple(rng.randrange(k) for _ in range(n))
+        f = floor_necklace(w, k)
+        assert is_necklace(f) and f <= w and floor_necklace(f, k) == f
+        assert rank_necklaces(w, k) == rank_necklaces(f, k) + (f < w)
 
 
 def test_is_necklace():

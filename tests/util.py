@@ -56,3 +56,11 @@ def lyndon_prefix_length(w):
         i = 0 if w[i] < w[j] else i + 1
         j += 1
     return j - i
+
+
+def match_state(table, w):
+    """State of the pattern automaton table.delta after reading w."""
+    j = 0
+    for x in w:
+        j = table.delta[j][x]
+    return j
