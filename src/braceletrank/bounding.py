@@ -131,13 +131,10 @@ class SubwordTable:
             self.chain[j] = c
         # thresh[j]: appending any x >= thresh[j] keeps every suffix of the
         # grown word at least the p-prefix of its length
-        self.thresh = [0] * (n + 1)
-        for j in range(n + 1):
-            t = p[0]
-            for m in self.chain[j]:
-                if m < n and p[m] > t:
-                    t = p[m]
-            self.thresh[j] = t
+        self.thresh = [p[0]] * (n + 1)
+        for j in range(1, n + 1):
+            t = self.thresh[self.fail[j]]
+            self.thresh[j] = max(t, p[j]) if j < n else t
         # the transition from code c at length l on symbol x sits at
         # base[l] + c*k + x of the append/prepend memo, -1 until first use
         self.width = [1] + [1 + 2 * s for s in self.size[1:]]

@@ -8,14 +8,13 @@ inversion turns each term into word counts of the form
     W(d) = #{ w in Sigma^d : some rotation of w^(n/d) is  < v
                              and every rotation of (w^R)^(n/d) is > v }
 
-which reduce to two counts against the prefix p = v[:d]: the one-sided
-closed-walk count from the necklace module and a joint DP that walks the
-word's blocks while it tracks its reversal's bound code.
+which reduce to counts against the prefix p = v[:d], all read off p's
+shared SubwordTable: the one-sided closed-walk count and the class size
+from the necklace module, and a joint DP that walks the word's blocks while
+it tracks its reversal's bound code.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
@@ -126,14 +125,13 @@ def _joint_count(table: SubwordTable) -> int:
 
 def _enclosing_word_count(v, k: int, d: int) -> int:
     """W(d) as described in the module docstring."""
-    n = len(v)
     p = v[:d]
-    pw = p * (n // d)
-    table = cached_table(tuple(p), k)
+    pw = p * (len(v) // d)
+    table = cached_table(p, k)
 
     # words whose reversal's rotations all exceed p (reversal is a bijection)
-    g_total = count_all_rotations_geq(p, k, strict=True)
-    cls = _class_size(p)
+    g_total = count_all_rotations_geq(table, strict=True)
+    cls = _class_size(table)
     if pw > v:
         g_total += cls
 
@@ -162,23 +160,8 @@ def rank_enclosing(v, k: int) -> int:
 
 
 # --- diagnostic suffix-state layers ----------------------------------------
-
-def _rotation_layers(table: SubwordTable):
-    """Yield, after each symbol t = 1..|p|, the distribution
-    {match state: {bound code: count}} of all words w of length t whose
-    every suffix is >= the same-length prefix of p."""
-    states = {0: {0: 1}}
-    for t in range(table.n):
-        nxt = {}
-        for j, row in states.items():
-            for x in range(table.thresh[j], table.k):
-                tgt = nxt.setdefault(table.delta[j][x], {})
-                for b, c in row.items():
-                    r = table.append_code(t, b, x)
-                    tgt[r] = tgt.get(r, 0) + c
-        states = nxt
-        yield states
-
+# the one-sided walk over (match state, bound code) that the closed-walk
+# count replaced, run for inspection only
 
 def build_SE(v, k: int) -> dict:
     """Suffix-fragment state counts SE[(x, i, j, s)].
@@ -188,23 +171,19 @@ def build_SE(v, k: int) -> dict:
     every suffix of y is >= the prefix of v of the same length, j is the
     longest suffix of y equal to a prefix of v, and s is y's bound state
     in S(v, n-i) encoded as ("exact", id) or ("strict", id).
-
-    These are the layers of the DP over bound codes that the closed-walk
-    counts replaced, kept for inspection and ground-truth testing.
     """
     n = len(v)
     table = cached_table(tuple(v), k)
-    layers = [{0: {0: 1}}] + list(islice(_rotation_layers(table), max(0, n - 2)))
-    out = {}
-    for i in range(1, n):
-        t = n - i - 1
-        for j, row in layers[t].items():
+    states, out = {(0, 0): 1}, {}  # {(match state, bound code): count}
+    for t in range(n - 1):
+        nxt, size = {}, table.size[t + 1]
+        for (j, b), c in states.items():
             for x in range(table.thresh[j], k):
-                for b, c in row.items():
-                    code = table.append_code(t, b, x)
-                    check(code != 0, "an SE layer state fell to the bottom")
-                    size = table.size[t + 1]
-                    s = ("exact", code - 1 - size) if code > size else ("strict", code - 1)
-                    key = (x, i, table.delta[j][x], s)
-                    out[key] = out.get(key, 0) + c
+                code, j2 = table.append_code(t, b, x), table.delta[j][x]
+                check(code != 0, "an SE layer state fell to the bottom")
+                s = ("exact", code - 1 - size) if code > size else ("strict", code - 1)
+                key = (x, n - t - 1, j2, s)
+                out[key] = out.get(key, 0) + c
+                nxt[(j2, code)] = nxt.get((j2, code), 0) + c
+        states = nxt
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .words import alphabet_size, as_index, min_rotation, period, validate_word
+from .words import alphabet_size, as_index, validate_word
 
 
 def divisors(n: int) -> list:
@@ -90,20 +90,21 @@ def _rotation_dp(table: SubwordTable) -> tuple:
     return total, total - sum(len(w) for w, through in cycles if through)
 
 
-def count_all_rotations_geq(w, k: int, strict: bool = False) -> int:
-    """Number of words u with |u| = |w| such that every rotation of u is
-    >= w (or > w when strict)."""
-    w, k = validate_word(w, k)
-    table = cached_table(w, k)
+def count_all_rotations_geq(table: SubwordTable, strict: bool = False) -> int:
+    """Number of words u with |u| = |p| such that every rotation of u is
+    >= p (or > p when strict), p the table's pattern."""
     if table.rotations is None:
         table.rotations = _rotation_dp(table)
     return table.rotations[bool(strict)]
 
 
-def _class_size(p) -> int:
+def _class_size(table: SubwordTable) -> int:
     """Number of words whose smallest rotation equals p (0 if p is not a
-    necklace representative)."""
-    return period(p) if min_rotation(p) == p else 0
+    necklace representative).  Rotation 0 sorts first exactly when p is its
+    own smallest rotation, and the groups at length |p| are p's distinct
+    rotations, as many as its period."""
+    n = table.n
+    return table.size[n] if table.prefix_id[n] == 0 else 0
 
 
 def _count_min_rot_below(v, k: int, d: int) -> int:
@@ -113,11 +114,11 @@ def _count_min_rot_below(v, k: int, d: int) -> int:
     below p qualifies, and the boundary class of p itself qualifies exactly
     when p repeated dips below v.
     """
-    n = len(v)
     p = v[:d]
-    g = k ** d - count_all_rotations_geq(p, k)
-    if p * (n // d) < v:
-        g += _class_size(p)
+    table = cached_table(p, k)
+    g = k ** d - count_all_rotations_geq(table)
+    if p * (len(v) // d) < v:
+        g += _class_size(table)
     return g
 
 
@@ -133,12 +134,6 @@ def mobius_quotient(e: int, term) -> int:
             total += mu * term(d)
     check(total % e == 0, f"Mobius sum {total} not divisible by {e}")
     return total // e
-
-
-def count_lyndon_below(w, k: int) -> int:
-    """Number of Lyndon words of length |w| strictly smaller than w."""
-    w, k = validate_word(w, k)
-    return mobius_quotient(len(w), lambda d: _count_min_rot_below(w, k, d))
 
 
 def count_necklaces(n: int, k: int) -> int:

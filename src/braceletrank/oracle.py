@@ -60,27 +60,25 @@ def enumerate_class(kind: str, n: int, k: int, budget: int | None = None) -> lis
     return out
 
 
+def _mirror_pairs(necklaces: list) -> list:
+    """The pairs (w, g) of a necklace representative w given and the
+    representative g of its reversal, where g > w."""
+    return [(w, g) for w in necklaces for g in [min_rotation(w[::-1])] if g > w]
+
+
 def oracle_enclosing(v, k: int, budget: int | None = None) -> list:
     """Sorted bracelet representatives whose two necklace representatives
     strictly straddle v."""
     v, k = validate_word(v, k)
-    n = len(v)
-    _check_budget(n, k, budget)
-    out = []
-    for w in _words(n, k):
-        if min_rotation(w) != w:
-            continue
-        g = min_rotation(w[::-1])
-        if g > w and w < v < g:
-            out.append(w)
-    return out
+    pairs = _mirror_pairs(enumerate_class("necklace", len(v), k, budget))
+    return [w for w, g in pairs if w < v < g]
 
 
 def enclosing_counter(necklaces: list):
     """v -> len(oracle_enclosing(v, k)) for the words v of the length of the
     sorted necklace representatives given: over the pairs w < g of a
     representative and that of its reversal, #{w < v} - #{g <= v}."""
-    pairs = [(w, g) for w in necklaces for g in [min_rotation(w[::-1])] if g > w]
+    pairs = _mirror_pairs(necklaces)
     lo = [w for w, _ in pairs]
     hi = sorted(g for _, g in pairs)
     return lambda v: bisect_left(lo, v) - bisect_right(hi, v)

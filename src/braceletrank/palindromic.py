@@ -19,14 +19,15 @@ All three forms run one walk over the doubled words reverse(u).u (even
 length) or reverse(phi).x.phi (odd length), grown by one symbol at each end
 per layer.  A state is (longest suffix matching a v-prefix, bound code); the
 code may be exact, so the palindromic cyclic subwords of v are ordinary
-states.  phi.reverse(phi) is the walk at length n; phi.x.reverse(phi) and
-x.phi.y.reverse(phi) are rotations of the walk at length n-1 with one more
-symbol appended.  A finished word counts when it passes the table's wrap
-check with every rotation strictly above v, as in the joint DP of the
-enclosing module.
+states.  A finished word counts when it passes the table's wrap check with
+every rotation strictly above v, as in the joint DP of the enclosing module.
 
-The DPs require a necklace representative; public entry points floor
-arbitrary words first, which leaves every "classes above" count unchanged.
+The forms take the SubwordTable of a necklace representative v.  size_PS
+is the walk at length n; size_PO_PE is the walk at length n-1 plus one
+appended symbol, a rotation of phi.x.reverse(phi) at odd n and of
+x.phi.y.reverse(phi) at even n.  rank_palindromic checks its input and
+floors it once, which leaves every "classes above" count unchanged, and
+runs the forms on the floor's table.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def _push(table, nxt, j, code, c, l):
         nxt[key] = nxt.get(key, 0) + c
 
 
-def _step(table, states, dl, k):
+def _step(table, states, dl):
     """Grow doubled words by one symbol on each side, from length dl to
     dl + 2: reverse(u).u for even dl, reverse(phi).x.phi for odd dl."""
-    nxt = {}
+    nxt, k = {}, table.k
     delta, thresh, size, top = table.delta, table.thresh, table.size[dl], table.size[dl + 2]
     for (j, code), c in states.items():
         strict = 0 < code <= size
@@ -64,32 +65,32 @@ def _step(table, states, dl, k):
     return nxt
 
 
-def _layers(table, k, final_len, sink=None):
+def _layers(table, final_len, sink=None):
     """States {(j, code): count} of the doubled words of length final_len:
     grown from the empty word reverse(u).u when final_len is even, from the
     middle symbol of reverse(phi).x.phi when odd; sink sees every layer."""
     states, dl = {(0, 0): 1}, final_len % 2
     if dl:
         states = {}
-        for x in range(table.thresh[0], k):
+        for x in range(table.thresh[0], table.k):
             _push(table, states, table.delta[0][x], table.prepend_code(0, 0, x), 1, 1)
         if sink is not None:
             sink(1, states)
     while dl < final_len:
-        states = _step(table, states, dl, k)
+        states = _step(table, states, dl)
         dl += 2
         if sink is not None:
             sink(dl, states)
     return states
 
 
-def _append_one(table, states, k):
+def _append_one(table, states):
     """The states at length n = |v| of the words of length n-1 followed by
     one more symbol: reverse(u).u.x and reverse(phi).x.phi.y, rotations of
     phi.x.reverse(phi) and x.phi.y.reverse(phi)."""
     nxt, n = {}, table.n
     for (j, code), c in states.items():
-        for x in range(table.thresh[j], k):
+        for x in range(table.thresh[j], table.k):
             _push(table, nxt, table.delta[j][x], table.append_code(n - 1, code, x), c, n)
     return nxt
 
@@ -101,43 +102,17 @@ def _above(table, states) -> int:
     return sum(c for (j, code), c in states.items() if table.wrap_ok(j, code, True))
 
 
-def _floored(v, k, odd: int, name: str):
-    v, k = validate_word(v, k)
-    if len(v) % 2 != odd:
-        raise ValueError(f"{name} requires {'odd' if odd else 'even'} length")
-    return floor_necklace(v, k), k
+def size_PO_PE(table) -> int:
+    """Number of words of length n = |v|, v = table.p, whose class minimum
+    is strictly above v: words phi.x.reverse(phi) when n is odd,
+    x.phi.y.reverse(phi) when n is even."""
+    return _above(table, _append_one(table, _layers(table, table.n - 1)))
 
 
-def _rotated_forms(v, k, odd: int, name: str) -> int:
-    v, k = _floored(v, k, odd, name)
-    table = cached_table(v, k)
-    return _above(table, _append_one(table, _layers(table, k, len(v) - 1), k))
-
-
-def size_PO(v, k: int) -> int:
-    """Number of words phi.x.reverse(phi) of odd length |v| whose class
-    minimum is strictly above v."""
-    return _rotated_forms(v, k, 1, "size_PO")
-
-
-def size_PE(v, k: int) -> int:
-    """Number of words x.phi.y.reverse(phi) of even length |v| whose class
-    minimum is strictly above v."""
-    return _rotated_forms(v, k, 0, "size_PE")
-
-
-def size_PS(v, k: int) -> int:
-    """Number of words phi.reverse(phi) of even length |v| whose class
-    minimum is strictly above v."""
-    v, k = _floored(v, k, 0, "size_PS")
-    table = cached_table(v, k)
-    return _above(table, _layers(table, k, len(v)))
-
-
-def _greater_even(v, k: int) -> int:
-    pe, ps = size_PE(v, k), size_PS(v, k)
-    check((pe + ps) % 2 == 0, "size_PE and size_PS out of parity")
-    return (pe + ps) // 2
+def size_PS(table) -> int:
+    """Number of words phi.reverse(phi) of even length n = |v|, v =
+    table.p, whose class minimum is strictly above v."""
+    return _above(table, _layers(table, table.n))
 
 
 def total_palindromic(n: int, k: int) -> int:
@@ -153,10 +128,15 @@ def total_palindromic(n: int, k: int) -> int:
 def rank_palindromic(v, k: int) -> int:
     """Number of palindromic necklace representatives strictly below v."""
     v, k = validate_word(v, k)
-    w = floor_necklace(v, k)
-    greater = size_PO(w, k) if len(v) % 2 else _greater_even(w, k)
+    n, w = len(v), floor_necklace(v, k)
+    table = cached_table(w, k)
+    greater = size_PO_PE(table)
+    if n % 2 == 0:
+        ps = size_PS(table)
+        check((greater + ps) % 2 == 0, "size_PE and size_PS out of parity")
+        greater = (greater + ps) // 2
     pal_w = is_palindromic_necklace(w)
-    rank_at_w = total_palindromic(len(v), k) - greater - (1 if pal_w else 0)
+    rank_at_w = total_palindromic(n, k) - greater - (1 if pal_w else 0)
     return rank_at_w + (1 if pal_w and w < v else 0)
 
 
@@ -172,7 +152,7 @@ def _layer_counts(v, k, final_len, index) -> dict:
             if code <= table.size[dl]:
                 out[(index(dl), j, code - 1)] = c
 
-    _layers(table, k, final_len, sink)
+    _layers(table, final_len, sink)
     return out
 
 
@@ -181,8 +161,9 @@ def po_layer_counts(v, k: int) -> dict:
     i prefixes u with doubled word reverse(u).u of length 2i, longest
     v-prefix suffix j, strictly bounded by subword s.  v must be a
     necklace representative."""
-    n = len(v)
-    return _layer_counts(v, k, n - 1 if n % 2 else n - 2, lambda dl: dl // 2)
+    if len(v) % 2 == 0:
+        raise ValueError("po_layer_counts requires odd length")
+    return _layer_counts(v, k, len(v) - 1, lambda dl: dl // 2)
 
 
 def pe_layer_counts(v, k: int) -> dict:

@@ -84,16 +84,6 @@ def _check_nonempty(w: Word):
         raise ValueError("empty word")
 
 
-def period(w: Word) -> int:
-    """Smallest p such that w is its length-p prefix repeated."""
-    _check_nonempty(w)
-    n = len(w)
-    for p in range(1, n + 1):
-        if n % p == 0 and w == w[:p] * (n // p):
-            return p
-    return n
-
-
 def min_rotation(w: Word) -> Word:
     """Lexicographically smallest rotation (Booth's algorithm)."""
     _check_nonempty(w)
@@ -115,11 +105,6 @@ def min_rotation(w: Word) -> Word:
         else:
             f[j - best] = i + 1
     return w[best:] + w[: best]
-
-
-def is_necklace(w: Word) -> bool:
-    """True iff w is the smallest rotation of itself."""
-    return w == min_rotation(w)
 
 
 def bracelet_representative(w: Word) -> Word:

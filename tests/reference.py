@@ -1,8 +1,9 @@
 """Reference counts the tests compare the package against.
 
 Definition-level brute force for the DP cells and the mirrored-form sizes,
-the bisect bound and bound code of a word, the single-form split of the
-even-length palindromic count with its odd-period correction term
+the bisect bound and bound code of a word, the package's mirrored-form
+counts applied to an arbitrary word (floored first), the single-form split
+of the even-length palindromic count with its odd-period correction term
 (ERRATA #3), and the DPs over bound codes that the closed-walk counts
 replaced.
 """
@@ -10,10 +11,9 @@ replaced.
 import itertools
 from bisect import bisect_left, bisect_right
 
+from braceletrank import palindromic
 from braceletrank.bounding import SubwordTable, cached_table
-from braceletrank.enclosing import _rotation_layers
 from braceletrank.errors import check
-from braceletrank.palindromic import size_PE, size_PO, size_PS
 from braceletrank.words import floor_necklace, min_rotation, validate_word
 
 
@@ -68,8 +68,7 @@ def brute_po_cells(v, k: int) -> dict:
     n = len(v)
     table = SubwordTable(v, k)
     out = {}
-    top = (n - 1) // 2 if n % 2 else (n - 2) // 2
-    for i in range(1, top + 1):
+    for i in range(1, (n - 1) // 2 + 1):
         subs = set(table.sub[2 * i])
         for u in _words(i, k):
             dw = u[::-1] + u
@@ -157,6 +156,31 @@ def brute_size_ps(v, k: int) -> int:
     return cnt
 
 
+# --- the mirrored-form sizes of an arbitrary word --------------------------
+
+def _floor_table(v, k: int) -> SubwordTable:
+    v, k = validate_word(v, k)
+    return cached_table(floor_necklace(v, k), k)
+
+
+def size_PO(v, k: int) -> int:
+    """Number of words phi.x.reverse(phi) of odd length |v| whose class
+    minimum is strictly above v."""
+    return palindromic.size_PO_PE(_floor_table(v, k))
+
+
+def size_PE(v, k: int) -> int:
+    """Number of words x.phi.y.reverse(phi) of even length |v| whose class
+    minimum is strictly above v."""
+    return palindromic.size_PO_PE(_floor_table(v, k))
+
+
+def size_PS(v, k: int) -> int:
+    """Number of words phi.reverse(phi) of even length |v| whose class
+    minimum is strictly above v."""
+    return palindromic.size_PS(_floor_table(v, k))
+
+
 # --- the closing comparison and the single-form split ----------------------
 
 def size_X(v, k: int, j: int, s: int) -> int:
@@ -209,6 +233,23 @@ def gs(v, k: int) -> int:
 
 
 # --- the DPs over bound codes that the closed-walk counts replaced ---------
+
+def _rotation_layers(table: SubwordTable):
+    """Yield, after each symbol t = 1..|p|, the distribution
+    {match state: {bound code: count}} of all words w of length t whose
+    every suffix is >= the same-length prefix of p."""
+    states = {0: {0: 1}}
+    for t in range(table.n):
+        nxt = {}
+        for j, row in states.items():
+            for x in range(table.thresh[j], table.k):
+                tgt = nxt.setdefault(table.delta[j][x], {})
+                for b, c in row.items():
+                    r = table.append_code(t, b, x)
+                    tgt[r] = tgt.get(r, 0) + c
+        states = nxt
+        yield states
+
 
 def rotation_count_dp(p, k: int, strict: bool = False) -> int:
     """#words of length |p| whose every rotation is >= p (> p when strict),

@@ -17,9 +17,9 @@ from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from braceletrank.enclosing import build_SE
 from braceletrank.oracle import enumerate_class
 from braceletrank.palindromic import pe_layer_counts, po_layer_counts, total_palindromic
-from braceletrank.words import is_necklace, min_rotation
+from braceletrank.words import min_rotation
 from reference import brute_pe_cells, brute_po_cells, brute_se_cells
-from util import all_words, dec
+from util import all_words, dec, is_necklace
 
 FIG1 = """aaaaaaaa aaaaaaab aaaaaabb aaaaabab aaaaabbb aaaabaab aaaababb aaaabbbb
 aaabaaab aaabaabb aaababab aaabbabb aaabbabb aaabbbbb aabaabab aabaabbb

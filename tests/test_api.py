@@ -5,7 +5,7 @@ import pytest
 
 import braceletrank
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
-from util import bracelet_reps, enc
+from util import bracelet_reps, enc, is_necklace
 
 
 def test_rank_examples():
@@ -131,7 +131,7 @@ def test_successor_differentials_at_scale():
     # the rank of the lexicographic successor exceeds the rank of v by an
     # explicitly computable 0/1 indicator, pointwise-checking all four
     # ranks far beyond enumeration reach
-    from braceletrank.words import is_necklace, min_rotation
+    from braceletrank.words import min_rotation
 
     def succ(v, k):
         w = list(v)

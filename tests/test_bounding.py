@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from braceletrank.bounding import SubwordTable, build_WX, build_XW, dump_tables
+from braceletrank.necklace import _class_size
 from braceletrank.words import Alphabet
 from reference import bound_of, code_of
-from util import all_words, enc
+from util import all_words, enc, match_state, naive_min_rotation, period
 
 
 def test_subword_lists_examples():
@@ -115,3 +118,42 @@ def test_dump_tables_shape():
     assert [e["l"] for e in out] == [1, 2, 3, 4]
     assert out[1]["subwords"] == ["aa", "ab", "ba", "bb"]
     assert "0:a" in out[0]["xw"] and "bottom:b" in out[0]["wx"]
+
+
+def _suffixes_geq_prefixes(w, p):
+    return all(w[a:] >= p[:len(w) - a] for a in range(len(w)))
+
+
+def _small_patterns():
+    return [(p, k) for k, dmax in ((2, 7), (3, 5))
+            for d in range(1, dmax + 1) for p in all_words(d, k)]
+
+
+def test_thresh_and_class_size_match_definitions():
+    # thresh[j] is the least symbol that keeps every suffix of a word with
+    # match state j at or above the same-length prefix of p
+    for p, k in _small_patterns():
+        t = SubwordTable(p, k)
+        layer = [()]  # the words of one length with the property
+        for _ in range(len(p)):
+            grown = []
+            for w in layer:
+                j = match_state(t, w)
+                for x in range(k):
+                    ok = _suffixes_geq_prefixes(w + (x,), p)
+                    assert ok == (x >= t.thresh[j]), (p, w, x)
+                    if ok:
+                        grown.append(w + (x,))
+            layer = grown
+    # the class size read off the sorted rotations, against the period,
+    # also at lengths past the oracle's reach
+    rng = random.Random(11)
+    patterns = _small_patterns()
+    for _ in range(60):
+        d, k = rng.randint(8, 200), rng.randint(2, 4)
+        w = tuple(rng.randrange(k) for _ in range(d))
+        unit = naive_min_rotation(w[:rng.choice([e for e in range(1, d + 1) if d % e == 0])])
+        patterns += [(w, k), (naive_min_rotation(w), k), (unit * (d // len(unit)), k)]
+    for p, k in patterns:
+        want = period(p) if naive_min_rotation(p) == p else 0
+        assert _class_size(SubwordTable(p, k)) == want, p

@@ -5,9 +5,8 @@ import pytest
 from braceletrank.bounding import SubwordTable
 from braceletrank.enclosing import _joint_count, build_SE, rank_enclosing
 from braceletrank.oracle import oracle_enclosing
-from braceletrank.words import is_necklace
 from reference import brute_se_cells
-from util import all_words, enc, lyndon_prefix_length, naive_min_rotation
+from util import all_words, enc, is_necklace, lyndon_prefix_length, naive_min_rotation
 
 
 def test_rank_enclosing_examples():

@@ -1,12 +1,23 @@
 import random
 from bisect import bisect_left
 
+from braceletrank.bounding import SubwordTable
 from braceletrank.necklace import (
-    count_all_rotations_geq,
-    count_lyndon_below,
+    _count_min_rot_below,
+    count_all_rotations_geq as _count_all_rotations_geq,
+    mobius_quotient,
     rank_necklaces,
 )
 from util import all_words, enc, naive_min_rotation, necklace_reps, rotations
+
+
+def count_all_rotations_geq(w, k, strict=False):
+    return _count_all_rotations_geq(SubwordTable(w, k), strict)
+
+
+def count_lyndon_below(w, k):
+    """Number of Lyndon words of length |w| strictly smaller than w."""
+    return mobius_quotient(len(w), lambda d: _count_min_rot_below(w, k, d))
 
 
 def _brute_all_rot_geq(w, k):

@@ -18,13 +18,12 @@ from braceletrank import (
     rank_palindromic,
     unrank_bracelet,
 )
-from braceletrank.necklace import count_lyndon_below, count_necklaces
+from braceletrank.necklace import count_necklaces
 from braceletrank.palindromic import total_palindromic
 
 # every public entry point, called with one argument replaced
 WORD_CALLS = [(f, lambda f, a: f(a, 2)) for f in (rank_bracelet, rank_necklaces, rank_palindromic,
-                                                  rank_enclosing, count_lyndon_below,
-                                                  oracle_enclosing)]
+                                                  rank_enclosing, oracle_enclosing)]
 WORD_CALLS.append((oracle_rank, lambda f, a: f("bracelet", a, 2)))
 LENGTH_CALLS = [(f, lambda f, a: f(a, 2)) for f in (count_bracelets, count_necklaces,
                                                     total_palindromic)]
@@ -107,7 +106,7 @@ m.rank_enclosing((0, 0, 1, 0, 1, 1), 2)
     "palindromic_parity": """
 import braceletrank.palindromic as m
 real = m.size_PS
-m.size_PS = lambda v, k: real(v, k) + 1
+m.size_PS = lambda table: real(table) + 1
 m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 """,
     # make every rank of unrank(5, 6, 2)'s answer, found by one unpatched

@@ -8,13 +8,11 @@ from braceletrank.words import (
     Alphabet,
     bracelet_representative,
     floor_necklace,
-    is_necklace,
     is_palindromic_necklace,
     min_rotation,
-    period,
 )
-from util import (all_words, enc, lyndon_prefix_length, match_state, naive_min_rotation, necklace_reps,
-                  rotations)
+from util import (all_words, enc, is_necklace, lyndon_prefix_length, match_state, naive_min_rotation,
+                  necklace_reps, period, rotations)
 
 
 def test_alphabet_roundtrip():
@@ -155,9 +153,10 @@ def test_floor_necklace_past_the_oracle():
 
 
 def test_is_necklace():
+    # a necklace is its own smallest rotation and its own floor
     for n in range(1, 9):
         for w in all_words(n, 2):
-            assert is_necklace(w) == (w == naive_min_rotation(w))
+            assert is_necklace(w) == (w == min_rotation(w)) == (floor_necklace(w, 2) == w)
 
 
 def test_canonical_forms():

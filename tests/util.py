@@ -64,3 +64,16 @@ def match_state(table, w):
     for x in w:
         j = table.delta[j][x]
     return j
+
+
+def period(w):
+    """Smallest p such that w is its length-p prefix repeated."""
+    if not w:
+        raise ValueError("empty word")
+    n = len(w)
+    return next(p for p in range(1, n + 1) if n % p == 0 and w == w[:p] * (n // p))
+
+
+def is_necklace(w):
+    """True iff w is the smallest rotation of itself."""
+    return w == naive_min_rotation(w)
