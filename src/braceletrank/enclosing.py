@@ -1,14 +1,17 @@
 """Count bracelets that enclose a word.
 
 A bracelet encloses v when its two necklace representatives straddle v
-strictly: <b> < v < <reverse(b)>.  Writing the smaller representative as a
-Lyndon power c^(n/P) decomposes the count over divisors P | n; Mobius
-inversion turns each term into word counts of the form
+strictly: <b> < v < <reverse(b)>.  No representative lies in (f, v], f the
+floor of v (the largest necklace representative <= v), so the bracelets
+enclosing v are those enclosing f plus the bracelet of f itself when f < v
+and f is its smaller representative.  Writing the smaller representative
+as a Lyndon power c^(n/P) decomposes the count for f over divisors P | n;
+Mobius inversion turns each term into word counts of the form
 
-    W(d) = #{ w in Sigma^d : some rotation of w^(n/d) is  < v
-                             and every rotation of (w^R)^(n/d) is > v }
+    W(d) = #{ w in Sigma^d : some rotation of w^(n/d) is  < f
+                             and every rotation of (w^R)^(n/d) is > f }
 
-which reduce to counts against the prefix p = v[:d], all read off p's
+which reduce to counts against the prenecklace p = f[:d], all read off p's
 shared SubwordTable: the one-sided closed-walk count and the class size
 from the necklace module, and a joint DP that walks the word's blocks while
 it tracks its reversal's bound code.
@@ -18,26 +21,21 @@ from __future__ import annotations
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .necklace import (
-    _class_size,
-    _forced_cycles,
-    _forced_run,
-    count_all_rotations_geq,
-    divisors,
-    mobius_quotient,
-)
-from .words import min_rotation, validate_word
+from .necklace import _class_size, classes_of_length, count_all_rotations_geq
+from .words import floor_necklace, min_rotation, validate_word
 
 
 def _joint_count(table: SubwordTable) -> int:
-    """#{w : every rotation of w >= p and every rotation of w^R > p}.
+    """#{w : every rotation of w >= p and every rotation of w^R > p}, for
+    a prenecklace p.
 
     Forward: w labels one closed walk on p's automaton (necklace._rotation_dp).
-    Rotated to start after a reset, w is a sequence of blocks F[:r].x,
-    x > F[r]; the reverse condition holds for all rotations or none, so the
+    Rotated to start after a reset, w is a sequence of blocks p[:r].x,
+    x > p[r]; the reverse condition holds for all rotations or none, so the
     count sums, over the passing block sequences of length d, the length of
-    their last block (the one position 0 of w falls in), plus the forced
-    cycles, each checked directly.  States: {run position r: {reverse code}}.
+    their last block (the one position 0 of w falls in), plus the class of
+    p, the walks without a reset, when p is a necklace and its reversal's
+    smallest rotation lies above p.  States: {run position r: {reverse code}}.
 
     Reverse: w^R grows at its front, exposing one rotation per symbol; open
     rotations (still equal to a p-prefix) are summarized by their longest
@@ -49,11 +47,11 @@ def _joint_count(table: SubwordTable) -> int:
     1+r, r = pos_id[l][m % d] <= s over m in M, else 0: exact, as M only
     shrinks as l grows.
     """
-    d, k = table.n, table.k
-    p0 = table.p[0]
+    d, k, p = table.n, table.k, table.p
+    check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
+    p0 = p[0]
     width, chain = table.width, table.chain
     pre = table._pre_cache
-    forced = _forced_run(table)
     states = {0: {0: 1}}
     for t in range(d):
         l = t + 1  # length of the successors
@@ -98,7 +96,7 @@ def _joint_count(table: SubwordTable) -> int:
         reset = {}
         nxt = {0: reset}
         for r, rev in states.items():
-            fr = forced[r]
+            fr = p[r]
             if l == d:  # the last symbol closes the last block
                 rev = {rc: c * (r + 1) for rc, c in rev.items()}
             for x in range(fr + 1, k):
@@ -117,46 +115,37 @@ def _joint_count(table: SubwordTable) -> int:
         states = nxt
     w_cur = width[d]
     total = sum(c for rc, c in states[0].items() if table.wrap_ok(*divmod(rc, w_cur), True))
-    for word, _ in _forced_cycles(table):
-        if min_rotation((word * (d // len(word)))[::-1]) > table.p:
-            total += len(word)
+    cls = _class_size(table)
+    if cls and min_rotation(p[::-1]) > p:
+        total += cls
     return total
 
 
 def _enclosing_word_count(v, k: int, d: int) -> int:
-    """W(d) as described in the module docstring."""
+    """W(d) as described in the module docstring, for a necklace v."""
     p = v[:d]
-    pw = p * (len(v) // d)
     table = cached_table(p, k)
-
-    # words whose reversal's rotations all exceed p (reversal is a bijection)
-    g_total = count_all_rotations_geq(table, strict=True)
-    cls = _class_size(table)
-    if pw > v:
-        g_total += cls
-
     if table.joint is None:
         table.joint = _joint_count(table)
-    wj = table.joint
-    t2 = t3 = 0
-    if cls:
-        if pw > v:
-            # reversed class members that also pass the forward condition
-            t2 = sum(min_rotation(w) >= p for w in {(p[i:] + p[:i])[::-1] for i in range(d)})
-        if pw < v and min_rotation(p[::-1]) > p:
-            # every class member of p satisfies the reversal condition
-            t3 = cls
-    return g_total - (wj + t2 - t3)
+    # words whose reversal's rotations all exceed p (reversal is a
+    # bijection), less those whose own rotations also all stay >= p
+    w = count_all_rotations_geq(table, strict=True) - table.joint
+    cls = _class_size(table)
+    if cls and p * (len(v) // d) < v and min_rotation(p[::-1]) > p:
+        # the class of p: its powers dip below v, but the joint count took it
+        w += cls
+    return w
 
 
 def rank_enclosing(v, k: int) -> int:
-    """Number of distinct bracelets [b] with <b> < v < <reverse(b)>."""
+    """Number of distinct bracelets [b] with <b> < v < <reverse(b)>: those
+    enclosing the floor f of v, the largest necklace representative <= v,
+    plus the bracelet of f itself when f < v and f is its smaller
+    representative, as no representative lies in (f, v]."""
     v, k = validate_word(v, k)
-    n = len(v)
-    if n == 1:
-        return 0
-    w = {d: _enclosing_word_count(v, k, d) for d in divisors(n)}
-    return sum(mobius_quotient(e, w.__getitem__) for e in divisors(n))
+    f = floor_necklace(v, k)
+    re = classes_of_length(len(f), lambda d: _enclosing_word_count(f, k, d))
+    return re + (f < v and min_rotation(f[::-1]) > f)
 
 
 # --- diagnostic suffix-state layers ----------------------------------------

@@ -1,18 +1,21 @@
 """Rank over necklaces: count necklace representatives below a word.
 
-Necklace representatives of length n are exactly the powers c^(n/e) of
-Lyndon words c with e | n, so the rank decomposes over divisors and the
-per-divisor terms reduce, by Mobius inversion, to counts of words all of
-whose rotations stay at or above a prefix of the query word.  That last
-count, shared with the enclosing-bracelet module, counts closed walks on the
-prefix's matching automaton.
+The rank of a word v is that of its floor f, the largest necklace
+representative <= v, plus one when f < v: no representative lies in
+(f, v].  Necklace representatives of length n are exactly the powers
+c^(n/e) of Lyndon words c with e | n, so the rank of f decomposes over
+divisors and the per-divisor terms reduce, by Mobius inversion, to counts
+of words all of whose rotations stay at or above the prefix p = f[:d], a
+prenecklace (a prefix of a necklace).  That last count, shared with the
+enclosing-bracelet module, counts closed walks on p's matching automaton,
+along which the symbols of p are the forced ones.
 """
 
 from __future__ import annotations
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .words import alphabet_size, as_index, validate_word
+from .words import alphabet_size, as_index, floor_necklace, validate_word
 
 
 def divisors(n: int) -> list:
@@ -31,63 +34,42 @@ def mobius(m: int) -> int:
     return -res if m > 1 else res
 
 
-def _forced_run(table: SubwordTable) -> list:
-    """F: the |p| forced symbols read from state 0 of p's automaton.  From
-    state j, symbols >= thresh[j] keep every suffix at or above the p-prefix
-    of its length: thresh[j] is forced, to f(j) = delta[j][thresh[j]] >= 1,
-    and each larger one extends no border, so it resets to state 0."""
-    delta, thresh = table.delta, table.thresh
-    out, j = [], 0
-    for _ in range(table.n):
-        out.append(thresh[j])
-        j = delta[j][thresh[j]]
-    return out
-
-
-def _forced_cycles(table: SubwordTable) -> list:
-    """The cycles of f with length L | d = |p|, as (the word they read,
-    whether they pass state d): the L closed walks of length d without a
-    reset, one per start state, reading the rotations of word^(d/L)."""
-    d, delta, thresh = table.n, table.delta, table.thresh
-    seen, out = [0] * (d + 1), []  # 0 unseen, 1 on the current path, 2 done
-    for s in range(d + 1):
-        path, j = [], s
-        while not seen[j]:
-            seen[j] = 1
-            path.append(j)
-            j = delta[j][thresh[j]]
-        if seen[j] == 1 and d % (len(path) - path.index(j)) == 0:
-            cyc = path[path.index(j):]
-            out.append((tuple(thresh[i] for i in cyc), d in cyc))
-        for i in path:
-            seen[i] = 2
-    return out
+def _class_size(table: SubwordTable) -> int:
+    """Number of words whose smallest rotation equals p (0 if p is not a
+    necklace representative).  Rotation 0 sorts first exactly when p is its
+    own smallest rotation, and the groups at length |p| are p's distinct
+    rotations, as many as its period."""
+    n = table.n
+    return table.size[n] if table.prefix_id[n] == 0 else 0
 
 
 def _rotation_dp(table: SubwordTable) -> tuple:
-    """(#words of length d = |p| whose every rotation is >= p, and > p).
+    """(#words of length d = |p| whose every rotation is >= p, and > p),
+    for a prenecklace p (a prefix of a necklace).
 
     Such a word labels exactly one closed walk of length d on p's automaton:
     its state at each position is the longest suffix of the cyclic word up
-    to there that is a prefix of p.  A walk with a reset cuts into blocks
-    F[:r].x, x > F[r]; by the block that position 0 falls in, with
-    c(r) = k-1-F[r] and B(m) the block sequences of length m,
+    to there that is a prefix of p.  From state j < d the symbol p[j] is
+    forced and each larger one resets to state 0.  A walk with a reset cuts
+    into blocks p[:r].x, x > p[r]; by the block that position 0 falls in,
+    with c(r) = k-1-p[r] and B(m) the block sequences of length m,
 
-        A(p) = sum over r < d of (r+1) c(r) B(d-r-1)  +  forced cycles,
+        A(p) = sum over r < d of (r+1) c(r) B(d-r-1)  +  cls,
         B(0) = 1,  B(m) = sum over r < m of c(r) B(m-r-1).
 
-    A rotation equal to p enters state d, which no block shorter than d
-    does, so the strict count drops the forced cycle through d.  O(d^2)
+    Without a reset a walk stays on the forced cycle through state d: when
+    p is a necklace, cls walks read its cls distinct rotations (its class
+    size), and none otherwise.  Each has p among its own rotations, so the
+    strict count drops them.  O(d^2)
     (Kociumaka, Radoszewski & Rytter, SIAM J. Discrete Math. 30(4), 2016)."""
-    d, k = table.n, table.k
-    c = [k - 1 - x for x in _forced_run(table)]
+    d, k, p = table.n, table.k, table.p
+    check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
+    c = [k - 1 - x for x in p]
     b = [1]
     for m in range(1, d):
         b.append(sum(c[r] * b[m - r - 1] for r in range(m) if c[r]))
     blocks = sum((r + 1) * c[r] * b[d - r - 1] for r in range(d) if c[r])
-    cycles = _forced_cycles(table)
-    total = blocks + sum(len(w) for w, _ in cycles)
-    return total, total - sum(len(w) for w, through in cycles if through)
+    return blocks + _class_size(table), blocks
 
 
 def count_all_rotations_geq(table: SubwordTable, strict: bool = False) -> int:
@@ -98,21 +80,13 @@ def count_all_rotations_geq(table: SubwordTable, strict: bool = False) -> int:
     return table.rotations[bool(strict)]
 
 
-def _class_size(table: SubwordTable) -> int:
-    """Number of words whose smallest rotation equals p (0 if p is not a
-    necklace representative).  Rotation 0 sorts first exactly when p is its
-    own smallest rotation, and the groups at length |p| are p's distinct
-    rotations, as many as its period."""
-    n = table.n
-    return table.size[n] if table.prefix_id[n] == 0 else 0
-
-
 def _count_min_rot_below(v, k: int, d: int) -> int:
-    """#{w in Sigma^d : min-rotation(w)^(n/d) < v}, where d | n = |v|.
+    """#{w in Sigma^d : min-rotation(w)^(n/d) < v}, where d | n = |v| and v
+    is a necklace, so that its prefix p = v[:d] is a prenecklace.
 
-    The power comparison reduces to the prefix p = v[:d]: any class minimum
-    below p qualifies, and the boundary class of p itself qualifies exactly
-    when p repeated dips below v.
+    The power comparison reduces to p: any class minimum below p qualifies,
+    and the class of p itself, empty unless p is a necklace, qualifies
+    exactly when p repeated stays below v.
     """
     p = v[:d]
     table = cached_table(p, k)
@@ -136,18 +110,26 @@ def mobius_quotient(e: int, term) -> int:
     return total // e
 
 
+def classes_of_length(n: int, term) -> int:
+    """The sum over e | n of mobius_quotient(e, term): the classes of every
+    period e | n, term(d) called once per divisor d of n."""
+    values = {d: term(d) for d in divisors(n)}
+    return sum(mobius_quotient(e, values.__getitem__) for e in divisors(n))
+
+
 def count_necklaces(n: int, k: int) -> int:
     """Number of necklaces of length n over k symbols: (1/n) * sum over
     d | n of phi(d) * k^(n/d), summed as the Lyndon words of lengths e | n."""
     n, k = as_index(n, "length"), alphabet_size(k)
     if n < 1:
         raise ValueError("n >= 1 required")
-    return sum(mobius_quotient(e, lambda d: k ** d) for e in divisors(n))
+    return classes_of_length(n, lambda d: k ** d)
 
 
 def rank_necklaces(v, k: int) -> int:
-    """Number of necklace representatives of length |v| strictly below v."""
+    """Number of necklace representatives of length |v| strictly below v:
+    those below its floor f, the largest one <= v, plus f itself when
+    f < v, as none lies in (f, v]."""
     v, k = validate_word(v, k)
-    n = len(v)
-    g = {d: _count_min_rot_below(v, k, d) for d in divisors(n)}
-    return sum(mobius_quotient(e, g.__getitem__) for e in divisors(n))
+    f = floor_necklace(v, k)
+    return classes_of_length(len(f), lambda d: _count_min_rot_below(f, k, d)) + (f < v)

@@ -6,7 +6,8 @@ from braceletrank.bounding import SubwordTable
 from braceletrank.enclosing import _joint_count, build_SE, rank_enclosing
 from braceletrank.oracle import oracle_enclosing
 from reference import brute_se_cells
-from util import all_words, enc, is_necklace, lyndon_prefix_length, naive_min_rotation
+from util import (all_words, enc, is_necklace, lyndon_prefix_length, naive_min_rotation,
+                  prenecklaces)
 
 
 def test_rank_enclosing_examples():
@@ -61,11 +62,11 @@ def test_enclosing_bracelets_are_apalindromic():
 def test_joint_count_matches_definition(k, dmax):
     # _joint_count(p) = #{w : every rotation of w >= p and every rotation of
     # w^R > p}, i.e. min-rotation(w) >= p < min-rotation(w^R), for every
-    # pattern p, necklace or not
+    # prenecklace p (the ranks floor their input, so no other p is reached)
     for d in range(1, dmax + 1):
         words = list(all_words(d, k))
         least = {w: naive_min_rotation(w) for w in words}
         pairs = Counter((least[w], least[w[::-1]]) for w in words)
-        for p in words:
+        for p, _ in prenecklaces(d, k):
             want = sum(c for (a, b), c in pairs.items() if a >= p and b > p)
             assert _joint_count(SubwordTable(p, k)) == want, p

@@ -8,7 +8,8 @@ from braceletrank.necklace import (
     mobius_quotient,
     rank_necklaces,
 )
-from util import all_words, enc, naive_min_rotation, necklace_reps, rotations
+from util import (all_words, enc, is_prenecklace, naive_min_rotation, necklace_reps,
+                  prenecklaces, rotations)
 
 
 def count_all_rotations_geq(w, k, strict=False):
@@ -37,13 +38,24 @@ def test_count_all_rotations_geq_examples():
         assert count_all_rotations_geq(top, 2) == _brute_all_rot_geq(top, 2) == 1
 
 
+def test_prenecklace_generator():
+    # FKM yields exactly the length-n prefixes of the necklaces of lengths
+    # n..2n-1, and the necklaces among them are the p | n ones
+    for k, nmax in ((1, 4), (2, 6), (3, 4), (4, 3)):
+        for n in range(1, nmax + 1):
+            got = list(prenecklaces(n, k))
+            pre = {w[:n] for m in range(n, 2 * n) for w in necklace_reps(m, k)}
+            assert [w for w, _ in got] == sorted(pre)
+            assert all(is_prenecklace(w) == (w in pre) for w in all_words(n, k))
+            assert [w for w, p in got if n % p == 0] == necklace_reps(n, k)
+
+
 def test_count_all_rotations_geq_brute():
-    for n in range(1, 9):
-        for w in all_words(n, 2):
-            assert count_all_rotations_geq(w, 2) == _brute_all_rot_geq(w, 2)
-    for n in range(1, 6):
-        for w in all_words(n, 3):
-            assert count_all_rotations_geq(w, 3) == _brute_all_rot_geq(w, 3)
+    # on prenecklaces, the only patterns the ranks reach
+    for k, nmax in ((2, 9), (3, 5)):
+        for n in range(1, nmax + 1):
+            for w, _ in prenecklaces(n, k):
+                assert count_all_rotations_geq(w, k) == _brute_all_rot_geq(w, k)
 
 
 def _is_lyndon(w):
@@ -57,11 +69,12 @@ def test_count_lyndon_below_examples():
 
 
 def test_count_lyndon_below_brute():
-    for k, nmax in ((2, 9), (3, 6)):
+    for k, nmax in ((2, 11), (3, 7)):
         for n in range(1, nmax + 1):
             lyn = sorted(w for w in all_words(n, k) if _is_lyndon(w))
-            for w in all_words(n, k):
-                assert count_lyndon_below(w, k) == bisect_left(lyn, w)
+            for w, p in prenecklaces(n, k):
+                if n % p == 0:  # a necklace, as the necklace ranks pass
+                    assert count_lyndon_below(w, k) == bisect_left(lyn, w)
 
 
 def test_lyndon_totals_sum_to_kn():

@@ -103,6 +103,18 @@ real = m._joint_count
 m._joint_count = lambda table: real(table) + (table.n == 6)
 m.rank_enclosing((0, 0, 1, 0, 1, 1), 2)
 """,
+    # the closed-walk counts take only prenecklaces (prefixes of necklaces),
+    # whose forced symbols are the pattern itself; (1, 0) is none
+    "prenecklace_rotation_dp": """
+from braceletrank.bounding import SubwordTable
+from braceletrank.necklace import _rotation_dp
+_rotation_dp(SubwordTable((1, 0), 2))
+""",
+    "prenecklace_joint_count": """
+from braceletrank.bounding import SubwordTable
+from braceletrank.enclosing import _joint_count
+_joint_count(SubwordTable((1, 0), 2))
+""",
     "palindromic_parity": """
 import braceletrank.palindromic as m
 real = m.size_PS

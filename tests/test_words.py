@@ -141,8 +141,10 @@ def test_floor_necklace_exhaustive():
 
 
 def test_floor_necklace_past_the_oracle():
-    # no necklace lies in (floor(w), w]: the closed-walk necklace ranks,
-    # which never floor, count none there
+    # no necklace lies in (floor(w), w].  rank_necklaces floors its input
+    # itself, so the rank identity below holds by construction; the
+    # non-necklace words of golden_large.json, ranked before the necklace
+    # ranks floored, check that it counts none there
     rng = random.Random(17)
     for _ in range(60):
         n, k = rng.randint(17, 200), rng.randint(2, 4)

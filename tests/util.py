@@ -77,3 +77,35 @@ def period(w):
 def is_necklace(w):
     """True iff w is the smallest rotation of itself."""
     return w == naive_min_rotation(w)
+
+
+def prenecklaces(n, k):
+    """(w, p) for every prenecklace w (a prefix of a necklace) of length n
+    over k symbols, in lexicographic order, with p the length of its
+    longest Lyndon prefix: w is a necklace exactly when p divides n.  The
+    FKM algorithm (Fredricksen, Kessler & Maiorana): raise the last symbol
+    below k-1, then repeat the prefix up to it to length n."""
+    a, p = [0] * n, 1
+    while True:
+        yield tuple(a), p
+        i = n - 1
+        while i >= 0 and a[i] == k - 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, n):
+            a[j] = a[j - i - 1]
+        p = i + 1
+
+
+def is_prenecklace(w):
+    """True iff w is a prefix of a necklace: Duval's scan reaches the end,
+    every symbol at or above its copy one Lyndon-prefix length back."""
+    p = 1
+    for i in range(1, len(w)):
+        if w[i] < w[i - p]:
+            return False
+        if w[i] > w[i - p]:
+            p = i + 1
+    return True
