@@ -66,8 +66,9 @@ class SubwordTable:
         fail, chain, thresh: failure links, border chains, and the minimal
             next symbol that avoids creating a suffix below a prefix of p
         size[l], width[l]: S_l and the number of codes (1 + 2*S_l) at length l
-        rotations, joint: the closed-walk counts (>= p, > p) and the joint
-            count, computed once per table by the necklace and enclosing modules
+        rotations, joint: the number of words whose rotations all lie above
+            p, and of those whose reversal's rotations do too, computed once
+            per table by the necklace and enclosing modules
 
     Lengths with as many groups as the previous length share its lists: the
     groups only split as l grows, so an equal count means equal groups.
@@ -207,18 +208,15 @@ class SubwordTable:
             return (i > sub_id) - (i < sub_id)
         return 1 if sub_id < code else -1
 
-    def wrap_ok(self, j: int, code: int, strict: bool) -> bool:
-        """Resolve the wrapped rotations of a finished word of length n
-        against p: at each border m of the final match state j, the
+    def wrap_ok(self, j: int, code: int) -> bool:
+        """Whether the wrapped rotations of a finished word of length n all
+        lie above p: at each border m of the final match state j, the
         rotation there is p[:m] then the word's own prefix, so comparing
         the word (bound code at length n) with the cyclic subword of p at m
-        settles it; strict asks for every rotation > p, else >= p."""
+        settles it."""
         n = self.n
-        for m in self.chain[j]:
-            r = self.cmp_with_subword(code, n, self.pos_id[n][m % n])
-            if r < 0 or (r == 0 and strict):
-                return False
-        return True
+        return all(self.cmp_with_subword(code, n, self.pos_id[n][m % n]) > 0
+                   for m in self.chain[j])
 
 
 @lru_cache(maxsize=64)

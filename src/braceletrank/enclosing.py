@@ -3,39 +3,38 @@
 A bracelet encloses v when its two necklace representatives straddle v
 strictly: <b> < v < <reverse(b)>.  No representative lies in (f, v], f the
 floor of v (the largest necklace representative <= v), so the bracelets
-enclosing v are those enclosing f plus the bracelet of f itself when f < v
-and f is its smaller representative.  Writing the smaller representative
-as a Lyndon power c^(n/P) decomposes the count for f over divisors P | n;
-Mobius inversion turns each term into word counts of the form
+enclosing v are those with <b> <= f < <reverse(b)>, less the bracelet of f
+itself when f = v and f is its smaller representative.  Writing the smaller
+representative as a Lyndon power c^(n/P) decomposes the count up to f over
+divisors P | n; Mobius inversion turns each term into word counts
 
-    W(d) = #{ w in Sigma^d : some rotation of w^(n/d) is  < f
-                             and every rotation of (w^R)^(n/d) is > f }
+    W(d) = #{ w in Sigma^d : min-rotation(w)^(n/d) <= f
+                             < min-rotation(w^R)^(n/d) }
 
-which reduce to counts against the prenecklace p = f[:d], all read off p's
-shared SubwordTable: the one-sided closed-walk count and the class size
-from the necklace module, and a joint DP that walks the word's blocks while
-it tracks its reversal's bound code.
+which reduce to counts against the prenecklace p = f[:d] read off p's
+shared SubwordTable alone: the closed-walk count of the necklace module
+less a joint DP that walks the word's blocks while it tracks its
+reversal's bound code.
 """
 
 from __future__ import annotations
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .necklace import _class_size, classes_of_length, count_all_rotations_geq
+from .necklace import classes_of_length, count_all_rotations_above
 from .words import floor_necklace, min_rotation, validate_word
 
 
 def _joint_count(table: SubwordTable) -> int:
-    """#{w : every rotation of w >= p and every rotation of w^R > p}, for
+    """#{w : every rotation of w > p and every rotation of w^R > p}, for
     a prenecklace p.
 
-    Forward: w labels one closed walk on p's automaton (necklace._rotation_dp).
-    Rotated to start after a reset, w is a sequence of blocks p[:r].x,
-    x > p[r]; the reverse condition holds for all rotations or none, so the
-    count sums, over the passing block sequences of length d, the length of
-    their last block (the one position 0 of w falls in), plus the class of
-    p, the walks without a reset, when p is a necklace and its reversal's
-    smallest rotation lies above p.  States: {run position r: {reverse code}}.
+    Forward: w labels one closed walk with a reset on p's automaton
+    (necklace._rotation_dp).  Rotated to start after a reset, w is a
+    sequence of blocks p[:r].x, x > p[r]; the reverse condition holds for
+    all rotations or none, so the count sums, over the passing block
+    sequences of length d, the length of their last block (the one position
+    0 of w falls in).  States: {run position r: {reverse code}}.
 
     Reverse: w^R grows at its front, exposing one rotation per symbol; open
     rotations (still equal to a p-prefix) are summarized by their longest
@@ -113,39 +112,30 @@ def _joint_count(table: SubwordTable) -> int:
         for tgt in nxt.values():
             tgt.pop(-1, None)
         states = nxt
-    w_cur = width[d]
-    total = sum(c for rc, c in states[0].items() if table.wrap_ok(*divmod(rc, w_cur), True))
-    cls = _class_size(table)
-    if cls and min_rotation(p[::-1]) > p:
-        total += cls
-    return total
+    return sum(c for rc, c in states[0].items() if table.wrap_ok(*divmod(rc, width[d])))
 
 
-def _enclosing_word_count(v, k: int, d: int) -> int:
-    """W(d) as described in the module docstring, for a necklace v."""
-    p = v[:d]
-    table = cached_table(p, k)
+def _enclosing_word_count(table: SubwordTable) -> int:
+    """#{w in Sigma^d : min-rotation(w) <= p < min-rotation(w^R)}, p =
+    table.p of length d: W(d) of the module docstring for p = f[:d], as a
+    word of length d lies on the same side of p as its power does of f,
+    and p^(n/d) <= f."""
     if table.joint is None:
         table.joint = _joint_count(table)
     # words whose reversal's rotations all exceed p (reversal is a
-    # bijection), less those whose own rotations also all stay >= p
-    w = count_all_rotations_geq(table, strict=True) - table.joint
-    cls = _class_size(table)
-    if cls and p * (len(v) // d) < v and min_rotation(p[::-1]) > p:
-        # the class of p: its powers dip below v, but the joint count took it
-        w += cls
-    return w
+    # bijection), less those whose own rotations also all exceed p
+    return count_all_rotations_above(table) - table.joint
 
 
 def rank_enclosing(v, k: int) -> int:
     """Number of distinct bracelets [b] with <b> < v < <reverse(b)>: those
-    enclosing the floor f of v, the largest necklace representative <= v,
-    plus the bracelet of f itself when f < v and f is its smaller
-    representative, as no representative lies in (f, v]."""
+    with <b> <= f < <reverse(b)>, f the floor of v (the largest necklace
+    representative <= v), less the bracelet of f itself when f = v and f is
+    its smaller representative, as no representative lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    re = classes_of_length(len(f), lambda d: _enclosing_word_count(f, k, d))
-    return re + (f < v and min_rotation(f[::-1]) > f)
+    upto = classes_of_length(len(f), lambda d: _enclosing_word_count(cached_table(f[:d], k)))
+    return upto - (f == v and min_rotation(f[::-1]) > f)
 
 
 # --- diagnostic suffix-state layers ----------------------------------------

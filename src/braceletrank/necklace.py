@@ -1,14 +1,14 @@
 """Rank over necklaces: count necklace representatives below a word.
 
-The rank of a word v is that of its floor f, the largest necklace
-representative <= v, plus one when f < v: no representative lies in
-(f, v].  Necklace representatives of length n are exactly the powers
-c^(n/e) of Lyndon words c with e | n, so the rank of f decomposes over
-divisors and the per-divisor terms reduce, by Mobius inversion, to counts
-of words all of whose rotations stay at or above the prefix p = f[:d], a
-prenecklace (a prefix of a necklace).  That last count, shared with the
-enclosing-bracelet module, counts closed walks on p's matching automaton,
-along which the symbols of p are the forced ones.
+The rank of a word v is the number of representatives <= its floor f, the
+largest necklace representative <= v, less f itself when f = v: no
+representative lies in (f, v].  Necklace representatives of length n are
+exactly the powers c^(n/e) of Lyndon words c with e | n, so the count up to
+f decomposes over divisors and the per-divisor terms reduce, by Mobius
+inversion, to counts of words all of whose rotations lie above the prefix
+p = f[:d], a prenecklace (a prefix of a necklace).  That last count, shared
+with the enclosing-bracelet module, counts closed walks on p's matching
+automaton, along which the symbols of p are the forced ones.
 """
 
 from __future__ import annotations
@@ -34,66 +34,49 @@ def mobius(m: int) -> int:
     return -res if m > 1 else res
 
 
-def _class_size(table: SubwordTable) -> int:
-    """Number of words whose smallest rotation equals p (0 if p is not a
-    necklace representative).  Rotation 0 sorts first exactly when p is its
-    own smallest rotation, and the groups at length |p| are p's distinct
-    rotations, as many as its period."""
-    n = table.n
-    return table.size[n] if table.prefix_id[n] == 0 else 0
+def _rotation_dp(table: SubwordTable) -> int:
+    """#words of length d = |p| whose every rotation is > p, for a
+    prenecklace p (a prefix of a necklace).
 
+    A word whose rotations all stay >= p labels exactly one closed walk of
+    length d on p's automaton: its state at each position is the longest
+    suffix of the cyclic word up to there that is a prefix of p.  From state
+    j < d the symbol p[j] is forced and each larger one resets to state 0.
+    A walk without a reset stays on the forced cycle through state d and
+    reads a rotation of p, so the words above p are the walks with a reset.
+    Each cuts into blocks p[:r].x, x > p[r]; by the block that position 0
+    falls in, with c(r) = k-1-p[r] and B(m) the block sequences of length m,
 
-def _rotation_dp(table: SubwordTable) -> tuple:
-    """(#words of length d = |p| whose every rotation is >= p, and > p),
-    for a prenecklace p (a prefix of a necklace).
-
-    Such a word labels exactly one closed walk of length d on p's automaton:
-    its state at each position is the longest suffix of the cyclic word up
-    to there that is a prefix of p.  From state j < d the symbol p[j] is
-    forced and each larger one resets to state 0.  A walk with a reset cuts
-    into blocks p[:r].x, x > p[r]; by the block that position 0 falls in,
-    with c(r) = k-1-p[r] and B(m) the block sequences of length m,
-
-        A(p) = sum over r < d of (r+1) c(r) B(d-r-1)  +  cls,
+        A(p) = sum over r < d of (r+1) c(r) B(d-r-1),
         B(0) = 1,  B(m) = sum over r < m of c(r) B(m-r-1).
 
-    Without a reset a walk stays on the forced cycle through state d: when
-    p is a necklace, cls walks read its cls distinct rotations (its class
-    size), and none otherwise.  Each has p among its own rotations, so the
-    strict count drops them.  O(d^2)
-    (Kociumaka, Radoszewski & Rytter, SIAM J. Discrete Math. 30(4), 2016)."""
+    O(d^2) (Kociumaka, Radoszewski & Rytter, SIAM J. Discrete Math. 30(4),
+    2016)."""
     d, k, p = table.n, table.k, table.p
     check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
     c = [k - 1 - x for x in p]
     b = [1]
     for m in range(1, d):
         b.append(sum(c[r] * b[m - r - 1] for r in range(m) if c[r]))
-    blocks = sum((r + 1) * c[r] * b[d - r - 1] for r in range(d) if c[r])
-    return blocks + _class_size(table), blocks
+    return sum((r + 1) * c[r] * b[d - r - 1] for r in range(d) if c[r])
 
 
-def count_all_rotations_geq(table: SubwordTable, strict: bool = False) -> int:
+def count_all_rotations_above(table: SubwordTable) -> int:
     """Number of words u with |u| = |p| such that every rotation of u is
-    >= p (or > p when strict), p the table's pattern."""
+    > p, p the table's pattern."""
     if table.rotations is None:
         table.rotations = _rotation_dp(table)
-    return table.rotations[bool(strict)]
+    return table.rotations
 
 
-def _count_min_rot_below(v, k: int, d: int) -> int:
-    """#{w in Sigma^d : min-rotation(w)^(n/d) < v}, where d | n = |v| and v
-    is a necklace, so that its prefix p = v[:d] is a prenecklace.
+def _count_min_rot_upto(table: SubwordTable) -> int:
+    """#{w in Sigma^d : min-rotation(w) <= p}, p = table.p of length d.
 
-    The power comparison reduces to p: any class minimum below p qualifies,
-    and the class of p itself, empty unless p is a necklace, qualifies
-    exactly when p repeated stays below v.
+    For p = f[:d], f a necklace of length n and d | n, this is
+    #{w : min-rotation(w)^(n/d) <= f}: p^(n/d) <= f, and any other word of
+    length d lies on the same side of p as its power does of f.
     """
-    p = v[:d]
-    table = cached_table(p, k)
-    g = k ** d - count_all_rotations_geq(table)
-    if p * (len(v) // d) < v:
-        g += _class_size(table)
-    return g
+    return table.k ** table.n - count_all_rotations_above(table)
 
 
 def mobius_quotient(e: int, term) -> int:
@@ -128,8 +111,9 @@ def count_necklaces(n: int, k: int) -> int:
 
 def rank_necklaces(v, k: int) -> int:
     """Number of necklace representatives of length |v| strictly below v:
-    those below its floor f, the largest one <= v, plus f itself when
-    f < v, as none lies in (f, v]."""
+    those up to its floor f, the largest one <= v, less f when f = v, as
+    none lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    return classes_of_length(len(f), lambda d: _count_min_rot_below(f, k, d)) + (f < v)
+    upto = classes_of_length(len(f), lambda d: _count_min_rot_upto(cached_table(f[:d], k)))
+    return upto - (f == v)

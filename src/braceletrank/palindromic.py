@@ -26,16 +26,16 @@ The forms take the SubwordTable of a necklace representative v.  size_PS
 is the walk at length n; size_PO_PE is the walk at length n-1 plus one
 appended symbol, a rotation of phi.x.reverse(phi) at odd n and of
 x.phi.y.reverse(phi) at even n.  rank_palindromic checks its input and
-floors it once, which leaves every "classes above" count unchanged, and
-runs the forms on the floor's table.
+floors it once to f, which leaves every "classes above" count unchanged,
+runs the forms on f's table, and subtracts f itself when f = v is
+palindromic.
 """
 
 from __future__ import annotations
 
 from .bounding import cached_table
 from .errors import check
-from .words import (alphabet_size, as_index, floor_necklace, is_palindromic_necklace,
-                    min_rotation, validate_word)
+from .words import alphabet_size, as_index, floor_necklace, min_rotation, validate_word
 
 
 def _push(table, nxt, j, code, c, l):
@@ -99,7 +99,7 @@ def _above(table, states) -> int:
     """Words of length n = |v| among the states whose every rotation is
     strictly above v.  A rotation of v fails the wrap check at the border
     where it starts v, so exact codes need no test of their own."""
-    return sum(c for (j, code), c in states.items() if table.wrap_ok(j, code, True))
+    return sum(c for (j, code), c in states.items() if table.wrap_ok(j, code))
 
 
 def size_PO_PE(table) -> int:
@@ -126,18 +126,18 @@ def total_palindromic(n: int, k: int) -> int:
 
 
 def rank_palindromic(v, k: int) -> int:
-    """Number of palindromic necklace representatives strictly below v."""
+    """Number of palindromic necklace representatives strictly below v:
+    those not above its floor f, the largest necklace representative <= v,
+    less f when f = v and f is palindromic, as none lies in (f, v]."""
     v, k = validate_word(v, k)
-    n, w = len(v), floor_necklace(v, k)
-    table = cached_table(w, k)
+    n, f = len(v), floor_necklace(v, k)
+    table = cached_table(f, k)
     greater = size_PO_PE(table)
     if n % 2 == 0:
         ps = size_PS(table)
         check((greater + ps) % 2 == 0, "size_PE and size_PS out of parity")
         greater = (greater + ps) // 2
-    pal_w = is_palindromic_necklace(w)
-    rank_at_w = total_palindromic(n, k) - greater - (1 if pal_w else 0)
-    return rank_at_w + (1 if pal_w and w < v else 0)
+    return total_palindromic(n, k) - greater - (f == v and min_rotation(f[::-1]) == f)
 
 
 # --- diagnostic layer dumps -------------------------------------------------

@@ -251,6 +251,17 @@ def _rotation_layers(table: SubwordTable):
         yield states
 
 
+def wrap_ok(table: SubwordTable, j: int, code: int, strict: bool) -> bool:
+    """SubwordTable.wrap_ok with a choice: strict asks for every wrapped
+    rotation > p, else >= p."""
+    n = table.n
+    for m in table.chain[j]:
+        r = table.cmp_with_subword(code, n, table.pos_id[n][m % n])
+        if r < 0 or (r == 0 and strict):
+            return False
+    return True
+
+
 def rotation_count_dp(p, k: int, strict: bool = False) -> int:
     """#words of length |p| whose every rotation is >= p (> p when strict),
     by the DP over (match state, bound code) resolved at the wrap."""
@@ -258,11 +269,11 @@ def rotation_count_dp(p, k: int, strict: bool = False) -> int:
     for states in _rotation_layers(table):
         pass
     return sum(c for j, row in states.items()
-               for b, c in row.items() if table.wrap_ok(j, b, strict))
+               for b, c in row.items() if wrap_ok(table, j, b, strict))
 
 
 def joint_count_dp(table: SubwordTable) -> int:
-    """#{w : every rotation of w >= p and every rotation of w^R > p}.
+    """#{w : every rotation of w > p and every rotation of w^R > p}.
 
     Forward side: the usual (match, bound) pair for w.  Reversal side: the
     reversed prefix is a growing suffix of w^R, so its rotations are
@@ -321,5 +332,5 @@ def joint_count_dp(table: SubwordTable) -> int:
                         tgt[nrc] = tgt.get(nrc, 0) + c
         states = nxt
     return sum(c for j, fwd in states.items() for bf, rev in fwd.items()
-               if table.wrap_ok(j, bf, False)
-               for rc, c in rev.items() if table.wrap_ok(*divmod(rc, width[d]), True))
+               if table.wrap_ok(j, bf)
+               for rc, c in rev.items() if table.wrap_ok(*divmod(rc, width[d])))

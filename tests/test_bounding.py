@@ -3,7 +3,6 @@ import random
 import pytest
 
 from braceletrank.bounding import SubwordTable, build_WX, build_XW, dump_tables
-from braceletrank.necklace import _class_size
 from braceletrank.words import Alphabet
 from reference import bound_of, code_of
 from util import all_words, enc, match_state, naive_min_rotation, period
@@ -145,8 +144,8 @@ def test_thresh_and_class_size_match_definitions():
                     if ok:
                         grown.append(w + (x,))
             layer = grown
-    # the class size read off the sorted rotations, against the period,
-    # also at lengths past the oracle's reach
+    # the class size read off the sorted rotations (the distinct rotations
+    # of p), against the period, also at lengths past the oracle's reach
     rng = random.Random(11)
     patterns = _small_patterns()
     for _ in range(60):
@@ -155,5 +154,4 @@ def test_thresh_and_class_size_match_definitions():
         unit = naive_min_rotation(w[:rng.choice([e for e in range(1, d + 1) if d % e == 0])])
         patterns += [(w, k), (naive_min_rotation(w), k), (unit * (d // len(unit)), k)]
     for p, k in patterns:
-        want = period(p) if naive_min_rotation(p) == p else 0
-        assert _class_size(SubwordTable(p, k)) == want, p
+        assert SubwordTable(p, k).size[len(p)] == period(p), p

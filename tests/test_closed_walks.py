@@ -1,12 +1,14 @@
 """The closed-walk counts against the DPs over bound codes they replaced.
 
-necklace._rotation_dp counts the words whose rotations all stay at or above
-a pattern (strictly and not) as closed walks on the pattern's automaton, and
+necklace._rotation_dp counts the words whose rotations all lie above a
+pattern as closed walks on the pattern's automaton, and
 enclosing._joint_count walks the blocks of those words while it tracks the
 reversal.  Both take prenecklace patterns (prefixes of necklaces), the only
 ones the ranks reach, as they floor their input first.  reference.py keeps
 the earlier DPs over (match state, bound code), an independent algorithm for
-any pattern that reaches sizes the oracle cannot.
+any pattern that reaches sizes the oracle cannot; its count of the words
+whose rotations stay at or above the pattern adds the pattern's rotation
+class when the pattern is a necklace.
 """
 
 import random
@@ -14,16 +16,19 @@ import random
 import pytest
 
 from braceletrank.bounding import SubwordTable
-from braceletrank.enclosing import _joint_count
-from braceletrank.necklace import _rotation_dp
+from braceletrank.enclosing import _enclosing_word_count, _joint_count
+from braceletrank.necklace import _count_min_rot_upto, _rotation_dp
 from braceletrank.words import floor_necklace
 from reference import joint_count_dp, rotation_count_dp
-from util import is_prenecklace, naive_min_rotation, prenecklaces
+from util import (all_words, is_necklace, is_prenecklace, naive_min_rotation, necklace_reps,
+                  period, prenecklaces)
 
 
 def _agree(p, k):
-    got = _rotation_dp(SubwordTable(p, k))
-    assert got == (rotation_count_dp(p, k), rotation_count_dp(p, k, strict=True)), p
+    walks = _rotation_dp(SubwordTable(p, k))
+    assert walks == rotation_count_dp(p, k, strict=True), p
+    cls = period(p) if is_necklace(p) else 0
+    assert rotation_count_dp(p, k) == walks + cls, p
     assert _joint_count(SubwordTable(p, k)) == joint_count_dp(SubwordTable(p, k)), p
 
 
@@ -50,3 +55,19 @@ def _large_patterns():
 @pytest.mark.parametrize("p,k", _large_patterns())
 def test_random_periodic_and_constant_patterns(p, k):
     _agree(p, k)
+
+
+@pytest.mark.parametrize("k,nmax", [(2, 10), (3, 6), (4, 5)])
+def test_divisor_terms_match_definition(k, nmax):
+    # for every necklace f and d | n = |f|, the terms read off the table of
+    # p = f[:d] alone count the words w of length d by the powers of their
+    # class minima: those up to f, and those whose reversal's lies above f
+    for n in range(1, nmax + 1):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            m = n // d
+            powers = [(naive_min_rotation(w) * m, naive_min_rotation(w[::-1]) * m)
+                      for w in all_words(d, k)]
+            for f in necklace_reps(n, k):
+                table = SubwordTable(f[:d], k)
+                assert _count_min_rot_upto(table) == sum(a <= f for a, _ in powers), (f, d)
+                assert _enclosing_word_count(table) == sum(a <= f < b for a, b in powers), (f, d)

@@ -15,8 +15,15 @@ its second half redrawn (random.Random(1000 * k + n)) at n = 100 and 200 for
 k = 2, n = 120 for k = 3 and n = 80 for k = 4, and an unrank-style probe at
 n = 120, k = 2 (a necklace prefix from random.Random(2120), one symbol raised
 to 1, then zeros), all computed before the necklace and enclosing ranks
-floored their input (commit 091cb77).  A change to the DPs that alters any
-answer at scale shows here.
+floored their input (commit 091cb77).  The last eighteen are periodic: each
+necklace is u^m with u the smallest rotation of a primitive word drawn from
+random.Random(100 * n + 10 * k + m) (redrawn until primitive), m = 2 and 3 at
+(n, k) = (60, 2), (96, 2), (120, 2), (72, 3) and m = 2 and 4 at (80, 4), each
+followed by its lexicographic successor when the successor floors back to it;
+their proper periods are the divisor terms whose prefix repeated equals the
+floor.  They were computed before the divisor sums counted up to the floor
+(commit c04e261).  A change to the DPs that alters any answer at scale shows
+here.
 """
 
 import json
@@ -26,7 +33,8 @@ import pytest
 
 from braceletrank.api import rank_bracelet
 from braceletrank.bounding import cached_table
-from braceletrank.words import min_rotation
+from braceletrank.words import floor_necklace, min_rotation
+from util import period
 
 with open(os.path.join(os.path.dirname(__file__), "golden_large.json")) as f:
     GOLDEN = json.load(f)
@@ -37,8 +45,10 @@ def _word(rec):
 
 
 def _id(rec):
-    w = _word(rec)
-    return f"n{len(w)}k{rec['k']}" + ("" if min_rotation(w) == w else "-nonnecklace")
+    w, k = _word(rec), rec["k"]
+    m = len(w) // period(floor_necklace(w, k))
+    return (f"n{len(w)}k{k}" + (f"-pow{m}" if m > 1 else "")
+            + ("" if min_rotation(w) == w else "-nonnecklace"))
 
 
 @pytest.mark.parametrize("rec", GOLDEN, ids=_id)

@@ -3,27 +3,34 @@ from bisect import bisect_left
 
 from braceletrank.bounding import SubwordTable
 from braceletrank.necklace import (
-    _count_min_rot_below,
-    count_all_rotations_geq as _count_all_rotations_geq,
+    _count_min_rot_upto,
+    count_all_rotations_above as _count_all_rotations_above,
     mobius_quotient,
     rank_necklaces,
 )
-from util import (all_words, enc, is_prenecklace, naive_min_rotation, necklace_reps,
-                  prenecklaces, rotations)
+from util import (all_words, enc, is_necklace, is_prenecklace, naive_min_rotation,
+                  necklace_reps, period, prenecklaces, rotations)
 
 
-def count_all_rotations_geq(w, k, strict=False):
-    return _count_all_rotations_geq(SubwordTable(w, k), strict)
+def count_all_rotations_above(w, k):
+    return _count_all_rotations_above(SubwordTable(w, k))
+
+
+def count_all_rotations_geq(w, k):
+    """Those above w plus w's own rotation class when w is a necklace."""
+    return count_all_rotations_above(w, k) + (period(w) if is_necklace(w) else 0)
 
 
 def count_lyndon_below(w, k):
-    """Number of Lyndon words of length |w| strictly smaller than w."""
-    return mobius_quotient(len(w), lambda d: _count_min_rot_below(w, k, d))
+    """Number of Lyndon words of length |w| strictly smaller than w, for a
+    necklace w: the divisor terms count those up to w."""
+    upto = mobius_quotient(len(w), lambda d: _count_min_rot_upto(SubwordTable(w[:d], k)))
+    return upto - _is_lyndon(w)
 
 
-def _brute_all_rot_geq(w, k):
+def _brute_all_rot_geq(w, k, strict=False):
     return sum(1 for u in all_words(len(w), k)
-               if all(r >= w for r in rotations(u)))
+               if all(r > w if strict else r >= w for r in rotations(u)))
 
 
 def test_count_all_rotations_geq_examples():
@@ -31,11 +38,12 @@ def test_count_all_rotations_geq_examples():
         assert count_all_rotations_geq((0,) * n, 2) == 2 ** n
     # abab: the qualifying classes are {abab, baba}, {abbb, ...}, {bbbb}
     assert count_all_rotations_geq(enc("abab"), 2) == 7
-    assert count_all_rotations_geq(enc("abab"), 2, strict=True) == 5
+    assert count_all_rotations_above(enc("abab"), 2) == 5
     # the top word admits only itself
     for n in range(1, 6):
         top = (1,) * n
         assert count_all_rotations_geq(top, 2) == _brute_all_rot_geq(top, 2) == 1
+        assert count_all_rotations_above(top, 2) == 0
 
 
 def test_prenecklace_generator():
@@ -55,6 +63,7 @@ def test_count_all_rotations_geq_brute():
     for k, nmax in ((2, 9), (3, 5)):
         for n in range(1, nmax + 1):
             for w, _ in prenecklaces(n, k):
+                assert count_all_rotations_above(w, k) == _brute_all_rot_geq(w, k, strict=True)
                 assert count_all_rotations_geq(w, k) == _brute_all_rot_geq(w, k)
 
 

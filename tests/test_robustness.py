@@ -91,8 +91,8 @@ m.rank_bracelet((0, 1, 1, 0, 1), 2)
 """,
     "mobius_divisibility": """
 import braceletrank.necklace as m
-real = m._count_min_rot_below
-m._count_min_rot_below = lambda v, k, d: real(v, k, d) + (d == len(v))
+real = m._count_min_rot_upto
+m._count_min_rot_upto = lambda table: real(table) + (table.n == 6)
 m.rank_necklaces((0, 1, 1, 0, 1, 1), 2)
 """,
     # the joint count of the full-length prefix alone: W(n) moves by one,
