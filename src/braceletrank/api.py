@@ -2,20 +2,22 @@
 
 A bracelet is an equivalence class of words under rotation and reflection.
 The rank of a word v is the number of bracelet representatives strictly
-below v; it splits as rb = (rn + rp + re) / 2 where rn counts necklace
-representatives below v, rp palindromic-necklace representatives below v,
-and re bracelets enclosing v.
+below v.  With f its floor (the largest necklace representative <= v), N,
+P and E count the necklace and palindromic necklace representatives <= f
+and the bracelets with smaller representative <= f < larger, each bracelet
+with smaller representative <= f twice in all.  So rb = (N + P + E) / 2 -
+[f = v <= <reverse(f)>] = (rn + rp + re + mirror_adjust) / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enclosing import rank_enclosing
+from .enclosing import count_enclosing_upto
 from .errors import check
-from .necklace import count_necklaces, rank_necklaces
-from .palindromic import rank_palindromic, total_palindromic
-from .words import as_index, min_rotation, validate_word
+from .necklace import count_necklaces, count_necklaces_upto
+from .palindromic import count_palindromic_upto, total_palindromic
+from .words import as_index, floor_necklace, min_rotation, validate_word
 
 
 @dataclass(frozen=True)
@@ -41,14 +43,14 @@ class RankBreakdown:
 def rank_bracelet(word, k: int) -> RankBreakdown:
     """Rank of word over all bracelets of its length (0-based)."""
     word, k = validate_word(word, k)
-    n = len(word)
-    rn = rank_necklaces(word, k)
-    rp = rank_palindromic(word, k)
-    re = rank_enclosing(word, k)
-    adj = 1 if min_rotation(word) == word and min_rotation(word[::-1]) < word else 0
-    total = rn + rp + re + adj
-    check(total % 2 == 0, f"rank components out of parity: rn={rn} rp={rp} re={re} adj={adj}")
-    return RankBreakdown(word, n, k, rn, rp, re, total // 2, adj)
+    f = floor_necklace(word, k)
+    nc, pc, ec = count_necklaces_upto(f, k), count_palindromic_upto(f, k), count_enclosing_upto(f, k)
+    check((nc + pc + ec) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} E={ec}")
+    on = f == word
+    g = min_rotation(f[::-1]) if on else None
+    rn, rp, re = nc - on, pc - (on and g == f), ec - (on and g > f)
+    rb = (nc + pc + ec) // 2 - (on and g >= f)
+    return RankBreakdown(word, len(word), k, rn, rp, re, rb, int(on and g < f))
 
 
 def count_bracelets(n: int, k: int) -> int:

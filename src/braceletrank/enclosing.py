@@ -127,6 +127,11 @@ def _enclosing_word_count(table: SubwordTable) -> int:
     return count_all_rotations_above(table) - table.joint
 
 
+def count_enclosing_upto(f, k: int) -> int:
+    """Bracelets [b] with <b> <= f < <reverse(b)>, f a necklace; unchecked."""
+    return classes_of_length(len(f), lambda d: _enclosing_word_count(cached_table(f[:d], k)))
+
+
 def rank_enclosing(v, k: int) -> int:
     """Number of distinct bracelets [b] with <b> < v < <reverse(b)>: those
     with <b> <= f < <reverse(b)>, f the floor of v (the largest necklace
@@ -134,8 +139,7 @@ def rank_enclosing(v, k: int) -> int:
     its smaller representative, as no representative lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    upto = classes_of_length(len(f), lambda d: _enclosing_word_count(cached_table(f[:d], k)))
-    return upto - (f == v and min_rotation(f[::-1]) > f)
+    return count_enclosing_upto(f, k) - (f == v and min_rotation(f[::-1]) > f)
 
 
 # --- diagnostic suffix-state layers ----------------------------------------

@@ -109,11 +109,15 @@ def count_necklaces(n: int, k: int) -> int:
     return classes_of_length(n, lambda d: k ** d)
 
 
+def count_necklaces_upto(f, k: int) -> int:
+    """Necklace representatives <= f, a necklace representative; unchecked."""
+    return classes_of_length(len(f), lambda d: _count_min_rot_upto(cached_table(f[:d], k)))
+
+
 def rank_necklaces(v, k: int) -> int:
     """Number of necklace representatives of length |v| strictly below v:
     those up to its floor f, the largest one <= v, less f when f = v, as
     none lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    upto = classes_of_length(len(f), lambda d: _count_min_rot_upto(cached_table(f[:d], k)))
-    return upto - (f == v)
+    return count_necklaces_upto(f, k) - (f == v)

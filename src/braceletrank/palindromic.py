@@ -25,10 +25,10 @@ every rotation strictly above v, as in the joint DP of the enclosing module.
 The forms take the SubwordTable of a necklace representative v.  size_PS
 is the walk at length n; size_PO_PE is the walk at length n-1 plus one
 appended symbol, a rotation of phi.x.reverse(phi) at odd n and of
-x.phi.y.reverse(phi) at even n.  rank_palindromic checks its input and
-floors it once to f, which leaves every "classes above" count unchanged,
-runs the forms on f's table, and subtracts f itself when f = v is
-palindromic.
+x.phi.y.reverse(phi) at even n.  count_palindromic_upto runs the forms on
+a necklace f's table.  rank_palindromic checks its input and floors it
+once to f, which leaves every "classes above" count unchanged, counts up
+to f, and subtracts f itself when f = v is palindromic.
 """
 
 from __future__ import annotations
@@ -125,19 +125,24 @@ def total_palindromic(n: int, k: int) -> int:
     return (k ** ((n + 1) // 2) + k ** (n // 2 + 1)) // 2
 
 
-def rank_palindromic(v, k: int) -> int:
-    """Number of palindromic necklace representatives strictly below v:
-    those not above its floor f, the largest necklace representative <= v,
-    less f when f = v and f is palindromic, as none lies in (f, v]."""
-    v, k = validate_word(v, k)
-    n, f = len(v), floor_necklace(v, k)
-    table = cached_table(f, k)
+def count_palindromic_upto(f, k: int) -> int:
+    """Palindromic necklace representatives <= f, a necklace; unchecked."""
+    n, table = len(f), cached_table(f, k)
     greater = size_PO_PE(table)
     if n % 2 == 0:
         ps = size_PS(table)
         check((greater + ps) % 2 == 0, "size_PE and size_PS out of parity")
         greater = (greater + ps) // 2
-    return total_palindromic(n, k) - greater - (f == v and min_rotation(f[::-1]) == f)
+    return total_palindromic(n, k) - greater
+
+
+def rank_palindromic(v, k: int) -> int:
+    """Number of palindromic necklace representatives strictly below v:
+    those not above its floor f, the largest necklace representative <= v,
+    less f when f = v and f is palindromic, as none lies in (f, v]."""
+    v, k = validate_word(v, k)
+    f = floor_necklace(v, k)
+    return count_palindromic_upto(f, k) - (f == v and min_rotation(f[::-1]) == f)
 
 
 # --- diagnostic layer dumps -------------------------------------------------

@@ -1,9 +1,12 @@
 import random
+import sys
 from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
 import braceletrank
+from braceletrank import words
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from util import bracelet_reps, enc, is_necklace
 
@@ -67,6 +70,33 @@ def test_mirror_adjust_boundary_case():
     assert bd.mirror_adjust == 1
     assert bd.rb == 5
     assert bd.rb == bisect_left(bracelet_reps(3, 3), enc("acb"))
+
+
+# one rank checks and floors its word once, and reverses only a word that
+# is its own floor: a non-necklace word, the smaller and the larger
+# representative of an apalindromic bracelet, and a palindromic necklace
+@pytest.mark.parametrize("text,k", [("cab", 3), ("abc", 3), ("acb", 3), ("aabb", 2)])
+def test_rank_checks_and_floors_once(text, k, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # rebind every import of the three word primitives, as a tracer would
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "braceletrank"]
+    for name in ("validate_word", "floor_necklace", "min_rotation"):
+        original, wrapper = getattr(words, name), counted(name, getattr(words, name))
+        for m in modules:
+            for key, val in list(vars(m).items()):
+                if val is original:
+                    monkeypatch.setattr(m, key, wrapper)
+    bd = rank_bracelet(enc(text), k)
+    assert bd.rb == bisect_left(bracelet_reps(len(text), k), enc(text))
+    assert calls["validate_word"] == calls["floor_necklace"] == 1
+    assert calls["min_rotation"] == (1 if is_necklace(enc(text)) else 0)
 
 
 def test_top_word_consistency():

@@ -85,8 +85,8 @@ def test_rejects_nonpositive_length(fn, call):
 OFF_BY_ONE = {
     "rank_parity": """
 import braceletrank.api as m
-real = m.rank_enclosing
-m.rank_enclosing = lambda v, k: real(v, k) + 1
+real = m.count_enclosing_upto
+m.count_enclosing_upto = lambda f, k: real(f, k) + 1
 m.rank_bracelet((0, 1, 1, 0, 1), 2)
 """,
     "mobius_divisibility": """
