@@ -19,6 +19,8 @@ reversal's bound code.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .bounding import SubwordTable, cached_table
 from .errors import check
 from .necklace import classes_of_length, count_all_rotations_above
@@ -38,60 +40,78 @@ def _joint_count(table: SubwordTable) -> int:
 
     Reverse: w^R grows at its front, exposing one rotation per symbol; open
     rotations (still equal to a p-prefix) are summarized by their longest
-    match lm and resolved at the wrap.  The code lm*W + b, W the number of
-    bound codes at the length, is mapped once per layer and symbol.  A strict
-    code 1+s at length l is above the rotation of p at m iff
-    pos_id[l][m % d] <= s, and only the rotations at M(l, lm) = {1..d-l} u
-    {d-l+b : b in chain[lm]} are compared again, so each maps to the largest
-    1+r, r = pos_id[l][m % d] <= s over m in M, else 0: exact, as M only
-    shrinks as l grows.
+    match lm and resolved at the wrap, in the code lm*W + b, W the number of
+    bound codes at the length.  A strict code 1+s at length l is above the
+    rotation of p at m iff pos_id[l][m % d] <= s, and only the rotations at
+    M(l, lm) = {1..d-l} u {d-l+b : b in chain[lm]} are compared again, so
+    each maps to its class, the largest 1+r, r = pos_id[l][m % d] <= s over
+    m in M, else 0: exact, as M only shrinks as l grows.  Per layer, each
+    present b fills one successor row per symbol (its prepend successor; on
+    p[0], the codes below p[1:l] drop and the code of p[1:l] opens lm = l),
+    and each present lm one class list: the one over {1..d-l}, with the span
+    of each chain rotation's code raised to it.  A reverse code then maps
+    with two lookups.
     """
     d, k, p = table.n, table.k, table.p
     check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
     p0 = p[0]
-    width, chain = table.width, table.chain
-    pre = table._pre_cache
+    width, chain, size = table.width, table.chain, table.size
     states = {0: {0: 1}}
     for t in range(d):
         l = t + 1  # length of the successors
-        w_cur, w_next, base, top = width[t], width[l], table.base[t], table.size[l]
+        w_cur, w_next, top = width[t], width[l], size[l]
         pos = table.pos_id[l]
-        # code -> class over the rotations at 1..d-l; exact codes and 0 stay
+        # code -> class over the rotations at 1..d-l, non-decreasing in the
+        # code; exact codes and 0 stay
         reach = {pos[m] for m in range(1, d - l + 1)}
         canon, last = list(range(w_next)), 0
         for s in range(top):
             last = canon[s + 1] = s + 1 if s in reach else last
-        extra = {}  # lm -> codes 1+r of the rotations at d-l+b, b in chain[lm], descending
 
-        def canonical(c, lm):
-            ext = extra.get(lm)
-            if ext is None:
-                ext = extra[lm] = sorted({1 + pos[(d - l + b) % d] for b in chain[lm]},
-                                         reverse=True)
-            c0 = canon[c]
-            for e in ext:
-                if e <= c:
-                    return e if e > c0 else c0
-            return c0
+        def classes(lm):
+            # canon plus the rotations at d-l+b, b in chain[lm]: the code
+            # e = 1+r of each starts a class, up to the next class start
+            cl = canon
+            for e in sorted([1 + pos[(d - l + b) % d] for b in chain[lm]]):
+                if canon[e] < e:
+                    if cl is canon:
+                        cl = canon[:]
+                    end = bisect_right(canon, canon[e], e)
+                    cl[e:end] = [e] * (end - e)
+            return cl
 
-        s1 = table.pos_id[t][1 % d] if t else None  # p[2..t+1] as a subword
-        # per symbol: reverse code -> successor, -1 where a rotation of w^R
-        # drops below p
-        rmaps = {x: [-1] * (l * w_cur) for x in range(p0, k)}
-        for rc in set().union(*states.values()):
+        codes = set().union(*states.values())
+        present = {rc % w_cur for rc in codes}
+        # on x = p0 a rotation of w^R opens at the exact code of p[1:l]
+        # (subword s1 at length t, the empty word at t = 0) and drops below
+        # p from the codes under it
+        s1 = table.pos_id[t][1 % d] if t else None
+        opener = 1 + size[t] + s1 if t else 0
+        above = {br for br in present if t and table.cmp_with_subword(br, t, s1) > 0}
+        if opener in present:
+            opened = l * w_next + classes(l)[table.prepend_code(t, opener, p0)]
+        # per symbol: bound code -> prepend successor, and reverse code ->
+        # successor, -1 where a rotation drops
+        rmaps, rest = {}, []
+        for x in range(p0, k):
+            row, rmaps[x] = [0] * w_cur, [-1] * (l * w_cur)
+            for br in present if x > p0 else above:
+                row[br] = table.prepend_code(t, br, x)
+            rest.append((row, rmaps[x]))
+        row0, map0 = rest.pop(0)
+        cls = {0: canon}
+        for rc in codes:
             lm, br = divmod(rc, w_cur)
-            for x in range(p0, k):
-                m = lm
-                if x == p0:
-                    r = table.cmp_with_subword(br, t, s1) if t else 0
-                    if r < 0:
-                        continue
-                    if r == 0:
-                        m = l  # a new rotation opens
-                b2 = pre[base + br * k + x]
-                if b2 < 0:
-                    b2 = table.prepend_code(t, br, x)
-                rmaps[x][rc] = m * w_next + canonical(b2, m)
+            cl = cls.get(lm)
+            if cl is None:
+                cl = cls[lm] = classes(lm)
+            off = lm * w_next
+            for row, rmap in rest:
+                rmap[rc] = off + cl[row[br]]
+            if br in above:
+                map0[rc] = off + cl[row0[br]]
+            elif br == opener:
+                map0[rc] = opened
         reset = {}
         nxt = {0: reset}
         for r, rev in states.items():

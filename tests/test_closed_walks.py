@@ -14,6 +14,8 @@ class when the pattern is a necklace.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braceletrank.bounding import SubwordTable
 from braceletrank.enclosing import _enclosing_word_count, _joint_count
@@ -48,6 +50,8 @@ def _large_patterns():
     for unit, k in (((0, 1), 2), ((0, 0, 1, 0, 1), 2), ((0, 2, 1), 3), ((1, 0, 3), 4)):
         out.append((unit * (60 // len(unit)), k))
     out += [((0,) * 60, 2), ((1,) * 60, 2), ((2,) * 40, 3)]
+    # border chains of depth 59 and 17: a Lyndon word and a periodic necklace
+    out += [((0,) * 59 + (1,), 2), ((0, 0, 0, 1) * 15, 2)]
     out = [(p if is_prenecklace(p) else floor_necklace(p, k), k) for p, k in out]
     return [pytest.param(p, k, id=f"{i}-d{len(p)}k{k}") for i, (p, k) in enumerate(out)]
 
@@ -55,6 +59,21 @@ def _large_patterns():
 @pytest.mark.parametrize("p,k", _large_patterns())
 def test_random_periodic_and_constant_patterns(p, k):
     _agree(p, k)
+
+
+@st.composite
+def random_prenecklaces(draw, dmax=20):
+    # a prefix of the floor of a random word: any prenecklace can come up
+    n, k = draw(st.integers(1, dmax)), draw(st.integers(2, 4))
+    w = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return floor_necklace(tuple(w), k)[:draw(st.integers(1, n))], k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_prenecklaces())
+def test_joint_count_on_random_prenecklaces(drawn):
+    p, k = drawn
+    assert _joint_count(SubwordTable(p, k)) == joint_count_dp(SubwordTable(p, k)), p
 
 
 @pytest.mark.parametrize("k,nmax", [(2, 10), (3, 6), (4, 5)])
