@@ -8,11 +8,13 @@ answer, memoised on first use, how that bound evolves when a symbol is
 appended or prepended to w, which is what the joint and palindromic DPs
 run on.
 
-The DPs run on one integer bound code per word.  At length l, with
-S_l = len(S(v, l)), code 0 is the bottom (below every subword; the empty
-word at l = 0), 1+i means strictly bounded by subword i and 1+S_l+i equal
-to subword i.  Transitions on codes are memoised in flat arrays and filled
-on first use.
+The DPs run on one integer bound code per word, and code order is word
+order.  At length l a word w has code 2b + h, where b is the number of
+subwords of length l below w and h = 1 exactly when w is subword b.  So
+w equals subword i at code 2i + 1, lies strictly between subwords b-1 and
+b at the even code 2b, and compares with subword i as its code does with
+2i + 1.  The empty word is the one subword of length 0, at code 1.
+Transitions on codes are memoised in flat arrays and filled on first use.
 
 No subword is stored.  The n rotations of v are sorted once; the cyclic
 subwords of length l are the length-l prefixes of the rotations, and
@@ -55,17 +57,20 @@ class SubwordTable:
         n, k: pattern length and alphabet size
         ext, order: p + p, and the rotation starts of p sorted by rotation
         grp[l][r]: index in S(p, l) of the length-l prefix of the rotation
-            at order position r; the groups are runs of the order
+            at order position r; the groups are runs of the order, and
+            grp[l][n] = S_l
         first[l][g]: first order position of group g, first[l][S_l] = n
-        sub[l]: S(p, l) as a sequence view (item g is a tuple)
-        pos_id[l][start]: index into sub[l] of the subword starting at start
-        prefix_id[l]: index of p[:l] in sub[l]
+        sub[l]: S(p, l) as a sequence view (item g is a tuple), for l >= 1
+        pos_id[l][start]: index in S(p, l) of the subword starting at start
+        prefix_id[l]: index of p[:l] in S(p, l)
         below[x]: number of rotations starting with a symbol below x
         tail[x]: sorted order positions of rotation j+1 over j with p[j] = x
         delta[j][x]: longest-suffix-matching-prefix automaton of p
         fail, chain, thresh: failure links, border chains, and the minimal
             next symbol that avoids creating a suffix below a prefix of p
-        size[l], width[l]: S_l and the number of codes (1 + 2*S_l) at length l
+        size[l], width[l]: S_l and the number of codes (2*S_l + 1) at length
+            l; at l = 0 the empty word is the one group, spanning every
+            order position
         rotations, joint: the number of words whose rotations all lie above
             p, and of those whose reversal's rotations do too, computed once
             per table by the necklace and enclosing modules
@@ -98,18 +103,20 @@ class SubwordTable:
             while h < n and ext[a + h] == ext[b + h]:
                 h += 1
             lcp[r] = h
-        self.grp, self.first, self.pos_id = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
-        self.sub, self.size = [None] * (n + 1), [0] * (n + 1)
+        first, grp, pos, starts = [0, n], [0] * n + [1], [0] * n, [order[0]]
+        self.grp, self.first, self.pos_id = [grp] * (n + 1), [first] * (n + 1), [pos] * (n + 1)
+        self.sub, self.size = [None] * (n + 1), [1] * (n + 1)
         for l in range(1, n + 1):
             cuts = [r for r in range(1, n) if lcp[r] < l]
-            if l == 1 or len(cuts) + 1 != self.size[l - 1]:
-                first, grp = [0] + cuts + [n], [0] * n
+            if len(cuts) + 1 != self.size[l - 1]:
+                first, grp = [0] + cuts + [n], [0] * (n + 1)
                 for r in range(1, n):
                     grp[r] = grp[r - 1] + (lcp[r] < l)
+                grp[n] = len(first) - 1
                 pos, starts = [grp[r] for r in rank], [order[r] for r in first[:-1]]
             self.grp[l], self.first[l], self.pos_id[l] = grp, first, pos
             self.sub[l], self.size[l] = _Subwords(ext, starts, l), len(starts)
-        self.prefix_id = [None] + [self.pos_id[l][0] for l in range(1, n + 1)]
+        self.prefix_id = [pos[0] for pos in self.pos_id]
         self.below = [sum(y < x for y in p) for x in range(k)]
         # rotation j is p[j] followed by rotation j+1
         self.tail = [sorted(rank[(j + 1) % n] for j in range(n) if p[j] == x) for x in range(k)]
@@ -138,7 +145,7 @@ class SubwordTable:
             self.thresh[j] = max(t, p[j]) if j < n else t
         # the transition from code c at length l on symbol x sits at
         # base[l] + c*k + x of the append/prepend memo, -1 until first use
-        self.width = [1] + [1 + 2 * s for s in self.size[1:]]
+        self.width = [2 * s + 1 for s in self.size]
         self.base = [0] * (n + 1)
         for l in range(n):
             self.base[l + 1] = self.base[l] + self.width[l] * k
@@ -165,48 +172,28 @@ class SubwordTable:
             r = self._pre_cache[i] = self._prepend(l, code, x)
         return r
 
-    def _at(self, l, r, hit):
-        # code at length l: the group at order position r when hit, else
-        # the strict bound just below position r
-        if hit:
-            return 1 + self.size[l] + self.grp[l][r]
-        return 1 + self.grp[l][r - 1] if r else 0
+    # A code at length l spans the order positions first[l][code >> 1] up
+    # to first[l][(code + 1) >> 1]: its subword's run when odd, the empty
+    # boundary before run code >> 1 when even.  A grown word lands on a
+    # group boundary r of the next length, where its code is 2*grp[r], plus
+    # 1 if it is the group there.
 
     def _append(self, l, code, x):
-        if l == 0:
-            return self._prepend(0, 0, x)
-        if code == 0:
-            return 0  # subwords above w stay above w.x; none is <=
-        s = self.size[l]
-        if code <= s:
-            # strictly bounded: w.x lies above the whole run of its bound,
-            # whatever x is, and below the next run
-            return 1 + self.grp[l + 1][self.first[l][code] - 1]
-        # exact: the run's rotations continue with non-decreasing symbols
-        e, ext, order = code - 1 - s, self.ext, self.order
-        lo, hi = self.first[l][e], self.first[l][e + 1]
+        first, grp = self.first[l], self.grp[l + 1]
+        lo, hi = first[code >> 1], first[(code + 1) >> 1]
+        if lo == hi:  # a word between two runs stays between their extensions
+            return 2 * grp[lo]
+        # the run's rotations continue with non-decreasing symbols
+        ext, order = self.ext, self.order
         r = bisect_left(order, x, lo, hi, key=lambda i: ext[i + l])
-        return self._at(l + 1, r, r < hi and ext[order[r] + l] == x)
+        return 2 * grp[r] + (r < hi and ext[order[r] + l] == x)
 
     def _prepend(self, l, code, x):
         # x.w lies among the rotations starting with x, ordered by their tails
-        tail = self.tail[x]
-        if l == 0:
-            lo, hi = 0, len(tail)
-        elif code <= self.size[l]:  # bottom or strict: x.w is no subword
-            lo = hi = bisect_left(tail, self.first[l][code]) if code else 0
-        else:
-            first, e = self.first[l], code - 1 - self.size[l]
-            lo, hi = bisect_left(tail, first[e]), bisect_left(tail, first[e + 1])
-        return self._at(l + 1, self.below[x] + lo, hi > lo)
-
-    def cmp_with_subword(self, code: int, l: int, sub_id: int) -> int:
-        """Trichotomy of a word with code at length l against subword
-        sub_id: -1 below, 0 equal (exact codes only), 1 above."""
-        if code > self.size[l]:
-            i = code - 1 - self.size[l]
-            return (i > sub_id) - (i < sub_id)
-        return 1 if sub_id < code else -1
+        tail, first = self.tail[x], self.first[l]
+        i = bisect_left(tail, first[code >> 1])
+        hit = i < len(tail) and tail[i] < first[(code + 1) >> 1]
+        return 2 * self.grp[l + 1][self.below[x] + i] + hit
 
     def wrap_ok(self, j: int, code: int) -> bool:
         """Whether the wrapped rotations of a finished word of length n all
@@ -214,9 +201,8 @@ class SubwordTable:
         rotation there is p[:m] then the word's own prefix, so comparing
         the word (bound code at length n) with the cyclic subword of p at m
         settles it."""
-        n = self.n
-        return all(self.cmp_with_subword(code, n, self.pos_id[n][m % n]) > 0
-                   for m in self.chain[j])
+        pos = self.pos_id[self.n]
+        return all(code > 2 * pos[m % self.n] + 1 for m in self.chain[j])
 
 
 @lru_cache(maxsize=64)
@@ -232,8 +218,8 @@ def _strict_rows(table: SubwordTable, step) -> dict:
     for l in range(1, table.n):
         for s in [None] + list(range(len(table.sub[l]))):
             for x in range(table.k):
-                r = step(l, 0 if s is None else 1 + s, x)
-                out[(l, s, x)] = r - 1 if r else None
+                b = step(l, 0 if s is None else 2 * s + 2, x) >> 1
+                out[(l, s, x)] = b - 1 if b else None
     return out
 
 

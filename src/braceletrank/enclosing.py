@@ -41,53 +41,52 @@ def _joint_count(table: SubwordTable) -> int:
     Reverse: w^R grows at its front, exposing one rotation per symbol; open
     rotations (still equal to a p-prefix) are summarized by their longest
     match lm and resolved at the wrap, in the code lm*W + b, W the number of
-    bound codes at the length.  A strict code 1+s at length l is above the
-    rotation of p at m iff pos_id[l][m % d] <= s, and only the rotations at
-    M(l, lm) = {1..d-l} u {d-l+b : b in chain[lm]} are compared again, so
-    each maps to its class, the largest 1+r, r = pos_id[l][m % d] <= s over
-    m in M, else 0: exact, as M only shrinks as l grows.  Per layer, each
-    present b fills one successor row per symbol (its prepend successor; on
-    p[0], the codes below p[1:l] drop and the code of p[1:l] opens lm = l),
-    and each present lm one class list: the one over {1..d-l}, with the span
-    of each chain rotation's code raised to it.  A reverse code then maps
-    with two lookups.
+    bound codes at the length.  A strict (even) code c at length l is above
+    the rotation of p at m iff c > 2*pos_id[l][m % d] + 1, and only the
+    rotations at M(l, lm) = {1..d-l} u {d-l+b : b in chain[lm]} are
+    compared again, so each maps to its class, the largest even code
+    2*pos_id[l][m % d] + 2 <= c over m in M, else 0: exact, as M only
+    shrinks as l grows.  Per layer, each present b fills one successor row
+    per symbol (its prepend successor; on p[0], the codes below p[1:l] drop
+    and the code of p[1:l] opens lm = l), and each present lm one class
+    list: the one over {1..d-l}, with the span of each chain rotation's
+    code raised to it.  A reverse code then maps with two lookups.
     """
     d, k, p = table.n, table.k, table.p
     check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
     p0 = p[0]
-    width, chain, size = table.width, table.chain, table.size
-    states = {0: {0: 1}}
+    width, chain = table.width, table.chain
+    states = {0: {1: 1}}
     for t in range(d):
         l = t + 1  # length of the successors
-        w_cur, w_next, top = width[t], width[l], size[l]
+        w_cur, w_next = width[t], width[l]
         pos = table.pos_id[l]
-        # code -> class over the rotations at 1..d-l, non-decreasing in the
-        # code; exact codes and 0 stay
-        reach = {pos[m] for m in range(1, d - l + 1)}
+        # code -> class over the rotations at 1..d-l; exact codes stay, and
+        # the even entries are non-decreasing
+        reach = {2 * pos[m] + 2 for m in range(1, d - l + 1)}
         canon, last = list(range(w_next)), 0
-        for s in range(top):
-            last = canon[s + 1] = s + 1 if s in reach else last
+        for c in range(2, w_next, 2):
+            last = canon[c] = c if c in reach else last
+        even = canon[::2]
 
         def classes(lm):
             # canon plus the rotations at d-l+b, b in chain[lm]: the code
-            # e = 1+r of each starts a class, up to the next class start
+            # e = 2r+2 of each starts a class, up to the next class start
             cl = canon
-            for e in sorted([1 + pos[(d - l + b) % d] for b in chain[lm]]):
+            for e in sorted([2 * pos[(d - l + b) % d] + 2 for b in chain[lm]]):
                 if canon[e] < e:
                     if cl is canon:
                         cl = canon[:]
-                    end = bisect_right(canon, canon[e], e)
-                    cl[e:end] = [e] * (end - e)
+                    end = bisect_right(even, canon[e], e >> 1)
+                    cl[e:2 * end:2] = [e] * (end - (e >> 1))
             return cl
 
         codes = set().union(*states.values())
         present = {rc % w_cur for rc in codes}
-        # on x = p0 a rotation of w^R opens at the exact code of p[1:l]
-        # (subword s1 at length t, the empty word at t = 0) and drops below
-        # p from the codes under it
-        s1 = table.pos_id[t][1 % d] if t else None
-        opener = 1 + size[t] + s1 if t else 0
-        above = {br for br in present if t and table.cmp_with_subword(br, t, s1) > 0}
+        # on x = p0 a rotation of w^R opens at the code of p[1:l] (the
+        # empty word at t = 0) and drops below p from the codes under it
+        opener = 2 * table.pos_id[t][1 % d] + 1
+        above = {br for br in present if br > opener}
         if opener in present:
             opened = l * w_next + classes(l)[table.prepend_code(t, opener, p0)]
         # per symbol: bound code -> prepend successor, and reverse code ->
@@ -177,14 +176,14 @@ def build_SE(v, k: int) -> dict:
     """
     n = len(v)
     table = cached_table(tuple(v), k)
-    states, out = {(0, 0): 1}, {}  # {(match state, bound code): count}
+    states, out = {(0, 1): 1}, {}  # {(match state, bound code): count}
     for t in range(n - 1):
-        nxt, size = {}, table.size[t + 1]
+        nxt = {}
         for (j, b), c in states.items():
             for x in range(table.thresh[j], k):
                 code, j2 = table.append_code(t, b, x), table.delta[j][x]
                 check(code != 0, "an SE layer state fell to the bottom")
-                s = ("exact", code - 1 - size) if code > size else ("strict", code - 1)
+                s = ("exact", code >> 1) if code & 1 else ("strict", (code >> 1) - 1)
                 key = (x, n - t - 1, j2, s)
                 out[key] = out.get(key, 0) + c
                 nxt[(j2, code)] = nxt.get((j2, code), 0) + c

@@ -40,12 +40,11 @@ from .words import alphabet_size, as_index, floor_necklace, min_rotation, valida
 
 def _push(table, nxt, j, code, c, l):
     """Add c doubled words of length l with match state j and bound code
-    `code` unless they fell to the bottom or below the v-prefix.  Exact
-    codes always pass: every cyclic subword of a necklace is at least its
-    same-length prefix.  A word equal to v[:l] matches all of it, which
-    growth at the back cannot see."""
-    if code > table.prefix_id[l]:
-        if code == 1 + table.size[l] + table.prefix_id[l]:
+    `code` unless they fell below the v-prefix.  A word equal to v[:l]
+    matches all of it, which growth at the back cannot see."""
+    prefix = 2 * table.prefix_id[l] + 1
+    if code >= prefix:
+        if code == prefix:
             j = l
         key = (j, code)
         nxt[key] = nxt.get(key, 0) + c
@@ -55,12 +54,11 @@ def _step(table, states, dl):
     """Grow doubled words by one symbol on each side, from length dl to
     dl + 2: reverse(u).u for even dl, reverse(phi).x.phi for odd dl."""
     nxt, k = {}, table.k
-    delta, thresh, size, top = table.delta, table.thresh, table.size[dl], table.size[dl + 2]
+    delta, thresh = table.delta, table.thresh
     for (j, code), c in states.items():
-        strict = 0 < code <= size
         for x in range(thresh[j], k):
             st = table.prepend_code(dl + 1, table.append_code(dl, code, x), x)
-            check(not strict or st <= top, "a strictly bounded doubled word became a subword")
+            check(code & 1 or not st & 1, "a strictly bounded doubled word became a subword")
             _push(table, nxt, delta[j][x], st, c, dl + 2)
     return nxt
 
@@ -69,11 +67,9 @@ def _layers(table, final_len, sink=None):
     """States {(j, code): count} of the doubled words of length final_len:
     grown from the empty word reverse(u).u when final_len is even, from the
     middle symbol of reverse(phi).x.phi when odd; sink sees every layer."""
-    states, dl = {(0, 0): 1}, final_len % 2
+    states, dl = {(0, 1): 1}, final_len % 2
     if dl:
-        states = {}
-        for x in range(table.thresh[0], table.k):
-            _push(table, states, table.delta[0][x], table.prepend_code(0, 0, x), 1, 1)
+        states = _append_one(table, states, 0)
         if sink is not None:
             sink(1, states)
     while dl < final_len:
@@ -84,14 +80,15 @@ def _layers(table, final_len, sink=None):
     return states
 
 
-def _append_one(table, states):
-    """The states at length n = |v| of the words of length n-1 followed by
-    one more symbol: reverse(u).u.x and reverse(phi).x.phi.y, rotations of
+def _append_one(table, states, l):
+    """The states at length l+1 of the words of length l followed by one
+    more symbol: the middle symbol of the odd walk at l = 0, and at
+    l = n-1 the words reverse(u).u.x and reverse(phi).x.phi.y, rotations of
     phi.x.reverse(phi) and x.phi.y.reverse(phi)."""
-    nxt, n = {}, table.n
+    nxt = {}
     for (j, code), c in states.items():
         for x in range(table.thresh[j], table.k):
-            _push(table, nxt, table.delta[j][x], table.append_code(n - 1, code, x), c, n)
+            _push(table, nxt, table.delta[j][x], table.append_code(l, code, x), c, l + 1)
     return nxt
 
 
@@ -106,7 +103,7 @@ def size_PO_PE(table) -> int:
     """Number of words of length n = |v|, v = table.p, whose class minimum
     is strictly above v: words phi.x.reverse(phi) when n is odd,
     x.phi.y.reverse(phi) when n is even."""
-    return _above(table, _append_one(table, _layers(table, table.n - 1)))
+    return _above(table, _append_one(table, _layers(table, table.n - 1), table.n - 1))
 
 
 def size_PS(table) -> int:
@@ -154,8 +151,8 @@ def _layer_counts(v, k, final_len, index) -> dict:
 
     def sink(dl, states):
         for (j, code), c in states.items():
-            if code <= table.size[dl]:
-                out[(index(dl), j, code - 1)] = c
+            if not code & 1:
+                out[(index(dl), j, (code >> 1) - 1)] = c
 
     _layers(table, final_len, sink)
     return out
@@ -175,4 +172,6 @@ def pe_layer_counts(v, k: int) -> dict:
     """Strict-branch cell counts {(i, j, s): count} of the even-case DP:
     prefixes x.phi of length i with doubled word reverse(phi).x.phi of
     length 2i - 1.  v must be a necklace representative."""
+    if len(v) % 2:
+        raise ValueError("pe_layer_counts requires even length")
     return _layer_counts(v, k, len(v) - 1, lambda dl: (dl + 1) // 2)

@@ -85,26 +85,20 @@ def _check_nonempty(w: Word):
 
 
 def min_rotation(w: Word) -> Word:
-    """Lexicographically smallest rotation (Booth's algorithm)."""
+    """Lexicographically smallest rotation: Duval's Lyndon factorisation
+    scan over w + w, where it starts at the last run of equal factors that
+    begins before |w|."""
     _check_nonempty(w)
-    n = len(w)
-    s = w + w
-    f = [-1] * (2 * n)
-    best = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - best - 1]
-        while i != -1 and sj != s[best + i + 1]:
-            if sj < s[best + i + 1]:
-                best = j - i - 1
-            i = f[i]
-        if sj != s[best + i + 1]:
-            if sj < s[best]:
-                best = j
-            f[j - best] = -1
-        else:
-            f[j - best] = i + 1
-    return w[best:] + w[: best]
+    n, s = len(w), w + w
+    i = best = 0
+    while i < n:
+        best, j, m = i, i + 1, i
+        while j < 2 * n and s[m] <= s[j]:
+            m = i if s[m] < s[j] else m + 1
+            j += 1
+        while i <= m:
+            i += j - m
+    return w[best:] + w[:best]
 
 
 def bracelet_representative(w: Word) -> Word:

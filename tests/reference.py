@@ -33,13 +33,12 @@ def bound_of(w, table: SubwordTable, strict: bool = True):
 
 
 def code_of(w, table: SubwordTable) -> int:
-    """Bound code of w at length |w|: 1+S+i when w is subword i, else 1+s
-    for its strict bound s, 0 for the bottom."""
-    w, vals = tuple(w), table.sub[len(w)]
-    s = bound_of(w, table, strict=False)
-    if s is not None and vals[s] == w:
-        return 1 + table.size[len(w)] + s
-    return 0 if s is None else 1 + s
+    """Bound code of w at length |w|: 2b + h, b the number of subwords
+    below w and h = 1 when w is subword b (the empty word is subword 0)."""
+    w = tuple(w)
+    vals = table.sub[len(w)] if w else [()]
+    b = bisect_left(vals, w)
+    return 2 * b + (b < len(vals) and vals[b] == w)
 
 
 # --- reference counts for the DP cell invariants ---------------------------
@@ -238,7 +237,7 @@ def _rotation_layers(table: SubwordTable):
     """Yield, after each symbol t = 1..|p|, the distribution
     {match state: {bound code: count}} of all words w of length t whose
     every suffix is >= the same-length prefix of p."""
-    states = {0: {0: 1}}
+    states = {0: {1: 1}}
     for t in range(table.n):
         nxt = {}
         for j, row in states.items():
@@ -254,12 +253,8 @@ def _rotation_layers(table: SubwordTable):
 def wrap_ok(table: SubwordTable, j: int, code: int, strict: bool) -> bool:
     """SubwordTable.wrap_ok with a choice: strict asks for every wrapped
     rotation > p, else >= p."""
-    n = table.n
-    for m in table.chain[j]:
-        r = table.cmp_with_subword(code, n, table.pos_id[n][m % n])
-        if r < 0 or (r == 0 and strict):
-            return False
-    return True
+    pos = table.pos_id[table.n]
+    return all(code >= 2 * pos[m % table.n] + 1 + strict for m in table.chain[j])
 
 
 def rotation_count_dp(p, k: int, strict: bool = False) -> int:
@@ -281,37 +276,37 @@ def joint_count_dp(table: SubwordTable) -> int:
     rotations are summarized by their longest match lm and resolved at the
     wrap, like the forward side but mirrored.
 
-    Canonical classes.  A word of length l with strict code 1+s has settled
-    its comparison with each length-d rotation of p: it is above the one at
-    m iff pos_id[l][m % d] <= s.  Forward, the code is read again only at
-    the wrap, at the final borders of w; each lies in the d-l symbols to
-    come or extends a border b in chain[j], so only the rotations at
-    M(l, j) = {1..d-l} u {d-l+b : b in chain[j]} remain.  Reverse, the same
+    Canonical classes.  A word of length l with strict (even) code c has
+    settled its comparison with each length-d rotation of p: it is above
+    the one at m iff c > 2*pos_id[l][m % d] + 1.  Forward, the code is read
+    again only at the wrap, at the final borders of w; each lies in the
+    d-l symbols to come or extends a border b in chain[j], so only the
+    rotations at M(l, j) = {1..d-l} u {d-l+b : b in chain[j]} remain.  Reverse, the same
     holds with the longest open match lm in j's role.  Each successor strict
-    code maps to the largest 1+r, r = pos_id[l][m % d] <= s over m in M,
-    else to 0.
+    code c maps to the largest even code 2*pos_id[l][m % d] + 2 <= c over m
+    in M, else to 0.
     """
     d, k = table.n, table.k
     p0 = table.p[0]
     delta, width, chain = table.delta, table.width, table.chain
     lo = [max(x, p0) for x in table.thresh]
-    states = {0: {0: {0: 1}}}
+    states = {0: {1: {1: 1}}}
     for t in range(d):
         l = t + 1
-        w_cur, w_next, top = width[t], width[l], table.size[l]
+        w_cur, w_next = width[t], width[l]
         pos = table.pos_id[l]
-        reach = {pos[m] for m in range(1, d - l + 1)}
+        reach = {2 * pos[m] + 2 for m in range(1, d - l + 1)}
         canon, last = list(range(w_next)), 0
-        for s in range(top):
-            last = canon[s + 1] = s + 1 if s in reach else last
+        for c in range(2, w_next, 2):
+            last = canon[c] = c if c in reach else last
 
         def canonical(c, j):
-            for e in sorted({1 + pos[(d - l + b) % d] for b in chain[j]}, reverse=True):
+            for e in sorted({2 * pos[(d - l + b) % d] + 2 for b in chain[j]}, reverse=True):
                 if e <= c:
                     return e if e > canon[c] else canon[c]
             return canon[c]
 
-        s1 = table.pos_id[t][1 % d] if t else None
+        opener = 2 * table.pos_id[t][1 % d] + 1  # p[1:l], the empty word at t = 0
         nxt = {}
         for j, fwd in states.items():
             for x in range(lo[j], k):
@@ -323,10 +318,9 @@ def joint_count_dp(table: SubwordTable) -> int:
                     for rc, c in rev.items():
                         lm, br = divmod(rc, w_cur)
                         if x == p0:
-                            r = table.cmp_with_subword(br, t, s1) if t else 0
-                            if r < 0:
+                            if br < opener:
                                 continue
-                            if r == 0:
+                            if br == opener:
                                 lm = l
                         nrc = lm * w_next + canonical(table.prepend_code(t, br, x), lm)
                         tgt[nrc] = tgt.get(nrc, 0) + c

@@ -89,7 +89,7 @@ def test_exact_state_transitions_match_values():
             t = SubwordTable(v, 2)
             for l in range(1, n):
                 for i, val in enumerate(t.sub[l]):
-                    exact = 1 + t.size[l] + i
+                    exact = 2 * i + 1
                     for x in range(2):
                         assert t.append_code(l, exact, x) == code_of(val + (x,), t)
                         assert t.prepend_code(l, exact, x) == code_of((x,) + val, t)
@@ -107,8 +107,25 @@ def test_prepend_from_bottom():
             got = t.prepend_code(l, 0, x)  # code 0: bottom
             assert (want is None) == (got == 0)
             if want is not None:
-                assert got == 1 + want  # strict, not exact
+                assert got == 2 * want + 2  # strict, not exact
         assert t.append_code(l, 0, 0) == 0
+
+
+@pytest.mark.parametrize("k,nmax", [(2, 6), (3, 4)])
+def test_codes_follow_word_order(k, nmax):
+    # every word of every length below n, not only subwords and strict
+    # classes: codes rise with the word and each step lands on the code of
+    # the grown word
+    for n in range(1, nmax + 1):
+        for v in all_words(n, k):
+            t = SubwordTable(v, k)
+            for l in range(n):
+                codes = [code_of(w, t) for w in all_words(l, k)]
+                assert codes == sorted(codes), (v, l)
+                for w, code in zip(all_words(l, k), codes):
+                    for x in range(k):
+                        assert t.append_code(l, code, x) == code_of(w + (x,), t), (v, w, x)
+                        assert t.prepend_code(l, code, x) == code_of((x,) + w, t), (v, w, x)
 
 
 def test_dump_tables_shape():

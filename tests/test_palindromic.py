@@ -54,7 +54,7 @@ def test_size_x_matches_internal_closure_on_reachable_states():
                 for (i, j, s) in cells:
                     if i == (n - 1) // 2 and (j, s) not in seen:
                         seen.add((j, s))
-                        closed = _above(t, _append_one(t, {(j, 1 + s): 1}))
+                        closed = _above(t, _append_one(t, {(j, 2 * s + 2): 1}, n - 1))
                         assert closed == size_X(v, k, j, s)
 
 
@@ -70,7 +70,7 @@ def test_exact_states_are_the_palindromic_subwords():
             layers = {}
 
             def sink(l, states):
-                layers[l] = {key: c for key, c in states.items() if key[1] > t.size[l]}
+                layers[l] = {key: c for key, c in states.items() if key[1] % 2}
 
             _layers(t, n, sink)
             _layers(t, n - 1, sink)
@@ -265,6 +265,8 @@ def test_layer_ground_truth_small():
 def test_rejects_wrong_parity_and_bad_words():
     with pytest.raises(ValueError, match="odd length"):
         po_layer_counts((0, 1), 2)
+    with pytest.raises(ValueError, match="even length"):
+        pe_layer_counts((0, 0, 1), 2)
     with pytest.raises(ValueError):
         rank_palindromic((), 2)
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ subword.
 
 import random
 import tracemalloc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 import pytest
 
@@ -22,47 +22,42 @@ class RefTable:
     def __init__(self, p, k):
         self.p, self.k, self.n = tuple(p), k, len(p)
         ext = self.p + self.p
-        self.sub, self.pos_id = [None], [None]
+        self.sub, self.pos_id = [[()]], [[0] * self.n]
         for l in range(1, self.n + 1):
             vals = sorted(set(ext[i:i + l] for i in range(self.n)))
             idx = {v: i for i, v in enumerate(vals)}
             self.sub.append(vals)
             self.pos_id.append([idx[ext[i:i + l]] for i in range(self.n)])
-        self.size = [0] + [len(s) for s in self.sub[1:]]
+        self.size = [len(s) for s in self.sub]
 
-    def weak_code(self, val):
+    def code(self, val):
+        # 2 * (subwords below val) + [val is a subword]
         vals = self.sub[len(val)]
-        i = bisect_right(vals, val)
-        if i and vals[i - 1] == val:
-            return self.size[len(val)] + i
-        return i
+        i = bisect_left(vals, val)
+        return 2 * i + (i < len(vals) and vals[i] == val)
+
+    def _next(self, l, b):
+        # the least word above every word of length l strictly below
+        # subword b: subword b itself, or (k,) past the last subword
+        return self.sub[l][b] if b < self.size[l] else (self.k,)
 
     def append(self, l, code, x):
-        if l == 0:
-            return self.weak_code((x,))
-        if code == 0:
-            return 0
-        if code > self.size[l]:
-            return self.weak_code(self.sub[l][code - 1 - self.size[l]] + (x,))
-        # k sorts above every symbol: the last subword extending the bound
-        return bisect_left(self.sub[l + 1], self.sub[l][code - 1] + (self.k,))
+        if code % 2:
+            return self.code(self.sub[l][code >> 1] + (x,))
+        return 2 * bisect_left(self.sub[l + 1], self._next(l, code >> 1))
 
     def prepend(self, l, code, x):
-        if l == 0:
-            return self.weak_code((x,))
-        if code == 0:
-            return bisect_left(self.sub[l + 1], (x,))
-        if code > self.size[l]:
-            return self.weak_code((x,) + self.sub[l][code - 1 - self.size[l]])
-        r = self.weak_code((x,) + self.sub[l][code - 1])
-        return r - self.size[l + 1] if r > self.size[l + 1] else r
+        if code % 2:
+            return self.code((x,) + self.sub[l][code >> 1])
+        return 2 * bisect_left(self.sub[l + 1], (x,) + self._next(l, code >> 1))
 
 
 def _assert_same(p, k):
     t, ref = SubwordTable(p, k), RefTable(p, k)
     assert t.size == ref.size, p
-    for l in range(1, t.n + 1):
-        assert list(t.sub[l]) == ref.sub[l], (p, l)
+    assert t.width == [2 * s + 1 for s in ref.size], p
+    for l in range(t.n + 1):
+        assert l == 0 or list(t.sub[l]) == ref.sub[l], (p, l)
         assert t.pos_id[l] == ref.pos_id[l], (p, l)
         assert t.prefix_id[l] == ref.pos_id[l][0], (p, l)
     for l in range(t.n):
