@@ -12,12 +12,17 @@ with smaller representative <= f twice in all.  So rb = (N + P + E) / 2 -
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .enclosing import count_enclosing_upto
 from .errors import check
 from .necklace import count_necklaces, count_necklaces_upto
 from .palindromic import count_palindromic_upto, total_palindromic
 from .words import as_index, floor_necklace, min_rotation, validate_word
+
+# Floors whose counts are kept, sized on perfbench's rank_small stream
+# (README, "Time and memory per n").
+FLOOR_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -40,12 +45,20 @@ class RankBreakdown:
     mirror_adjust: int = 0
 
 
+@lru_cache(maxsize=FLOOR_MEMO)
+def _counts_upto(f: tuple, k: int) -> tuple:
+    """(N, P, E) up to the necklace f, memoised per (f, k): every word with
+    floor f shares them."""
+    nc, pc, ec = count_necklaces_upto(f, k), count_palindromic_upto(f, k), count_enclosing_upto(f, k)
+    check((nc + pc + ec) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} E={ec}")
+    return nc, pc, ec
+
+
 def rank_bracelet(word, k: int) -> RankBreakdown:
     """Rank of word over all bracelets of its length (0-based)."""
     word, k = validate_word(word, k)
     f = floor_necklace(word, k)
-    nc, pc, ec = count_necklaces_upto(f, k), count_palindromic_upto(f, k), count_enclosing_upto(f, k)
-    check((nc + pc + ec) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} E={ec}")
+    nc, pc, ec = _counts_upto(f, k)
     on = f == word
     g = min_rotation(f[::-1]) if on else None
     rn, rp, re = nc - on, pc - (on and g == f), ec - (on and g > f)

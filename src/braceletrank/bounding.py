@@ -71,16 +71,17 @@ class SubwordTable:
         size[l], width[l]: S_l and the number of codes (2*S_l + 1) at length
             l; at l = 0 the empty word is the one group, spanning every
             order position
-        rotations, joint: the number of words whose rotations all lie above
-            p, and of those whose reversal's rotations do too, computed once
-            per table by the necklace and enclosing modules
+        rotations: the number of words whose rotations all lie above p,
+            computed once per table by the necklace module
 
     Lengths with as many groups as the previous length share its lists: the
     groups only split as l grows, so an equal count means equal groups.
 
     Tables are shared through cached_table and fill their transition memos
-    lazily.  Every memo entry and DP result is a pure function of (p, k):
-    concurrent users can at worst compute one twice and store equal values.
+    and rotations lazily.  Each entry is a pure function of (p, k): concurrent
+    users can at worst compute one twice and store equal values.  The joint
+    count and the counts up to a floor are kept as integers outside the
+    table (enclosing._joint, api._counts_upto), so they outlive it.
     """
 
     def __init__(self, p, k: int):
@@ -151,7 +152,7 @@ class SubwordTable:
             self.base[l + 1] = self.base[l] + self.width[l] * k
         self._app_cache = [-1] * self.base[n]
         self._pre_cache = [-1] * self.base[n]
-        self.rotations = self.joint = None
+        self.rotations = None
 
     # ---- bound-state transitions ----
 
@@ -207,7 +208,8 @@ class SubwordTable:
 
 @lru_cache(maxsize=64)
 def cached_table(p: tuple, k: int) -> SubwordTable:
-    """Shared tables: the rank components all query the same patterns."""
+    """Shared tables: one query's counts read the same prefixes, and so do
+    unrank's probes.  The counts themselves are memoised as integers."""
     return SubwordTable(p, k)
 
 

@@ -20,11 +20,15 @@ reversal's bound code.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
 from .necklace import classes_of_length, count_all_rotations_above
 from .words import floor_necklace, min_rotation, validate_word
+
+# Prefixes whose joint count J(p) is kept, as for api.FLOOR_MEMO.
+JOINT_MEMO = 4096
 
 
 def _joint_count(table: SubwordTable) -> int:
@@ -134,16 +138,21 @@ def _joint_count(table: SubwordTable) -> int:
     return sum(c for rc, c in states[0].items() if table.wrap_ok(*divmod(rc, width[d])))
 
 
+@lru_cache(maxsize=JOINT_MEMO)
+def _joint(p: tuple, k: int) -> int:
+    """_joint_count of p's shared table, memoised per (p, k): the floors of
+    different words, and unrank's probes, share prefixes."""
+    return _joint_count(cached_table(p, k))
+
+
 def _enclosing_word_count(table: SubwordTable) -> int:
     """#{w in Sigma^d : min-rotation(w) <= p < min-rotation(w^R)}, p =
     table.p of length d: W(d) of the module docstring for p = f[:d], as a
     word of length d lies on the same side of p as its power does of f,
     and p^(n/d) <= f."""
-    if table.joint is None:
-        table.joint = _joint_count(table)
     # words whose reversal's rotations all exceed p (reversal is a
     # bijection), less those whose own rotations also all exceed p
-    return count_all_rotations_above(table) - table.joint
+    return count_all_rotations_above(table) - _joint(table.p, table.k)
 
 
 def count_enclosing_upto(f, k: int) -> int:

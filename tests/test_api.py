@@ -1,5 +1,7 @@
+import itertools
 import random
 import sys
+import threading
 from bisect import bisect_left
 from collections import Counter
 
@@ -8,7 +10,8 @@ import pytest
 import braceletrank
 from braceletrank import words
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
-from util import bracelet_reps, enc, is_necklace
+from braceletrank.oracle import oracle_rank
+from util import bracelet_reps, enc, is_necklace, naive_min_rotation
 
 
 def test_rank_examples():
@@ -223,3 +226,73 @@ def test_public_surface():
     namespace = {}
     exec("from braceletrank import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def _memos():
+    """Every functools cache in the package's modules, by name."""
+    mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "braceletrank"]
+    return {f.__qualname__: f for m in mods for f in vars(m).values() if hasattr(f, "cache_info")}
+
+
+def _clear_memos():
+    for memo in _memos().values():
+        memo.cache_clear()
+
+
+def test_memos_are_bounded():
+    # the floor memo, the joint-count memo and the table cache; an
+    # lru_cache reports maxsize None when it is unbounded
+    memos = _memos()
+    assert {"_counts_upto", "_joint", "cached_table"} <= set(memos)
+    for name, memo in memos.items():
+        assert memo.cache_info().maxsize is not None, name
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (5, 3)])
+def test_memo_reuse_is_order_free(n, k):
+    # ascending, each non-necklace word reads the counts its floor left;
+    # descending, it fills them first
+    ws = list(itertools.product(range(k), repeat=n))
+    _clear_memos()
+    up = [rank_bracelet(w, k) for w in ws]
+    _clear_memos()
+    down = [rank_bracelet(w, k) for w in reversed(ws)][::-1]
+    assert up == down
+    for w, bd in zip(ws, up):
+        want = [oracle_rank(kind, w, k) for kind in
+                ("necklace", "palindromic_necklace", "enclosing", "bracelet")]
+        assert [bd.rn, bd.rp, bd.re, bd.rb] == want, w
+
+
+def test_threads_share_memos_and_tables():
+    rng = random.Random(17)
+    pool = []
+    for _ in range(200):
+        k = rng.randrange(2, 5)
+        pool.append((tuple(rng.randrange(k) for _ in range(rng.randrange(1, 13))), k))
+    large = [(naive_min_rotation(tuple(rng.randrange(2) for _ in range(40))), 2) for _ in range(2)]
+    # four overlapping lists, each with both large necklaces, in its own order
+    lists = [pool[40 * i:40 * i + 80] + large for i in range(4)]
+    for ws in lists:
+        rng.shuffle(ws)
+    _clear_memos()
+    want = [[rank_bracelet(w, k) for w, k in ws] for ws in lists]
+    _clear_memos()
+    got, start = [None] * 4, threading.Barrier(4)
+
+    def work(i):
+        start.wait(timeout=60)
+        got[i] = [rank_bracelet(w, k) for w, k in lists[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the DPs
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
