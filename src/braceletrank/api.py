@@ -18,7 +18,7 @@ from .enclosing import count_enclosing_upto
 from .errors import check
 from .necklace import count_necklaces, count_necklaces_upto
 from .palindromic import count_palindromic_upto, total_palindromic
-from .words import as_index, floor_necklace, min_rotation, validate_word
+from .words import as_index, bracelet_representative, floor_necklace, min_rotation, validate_word
 
 # Floors whose counts are kept, sized on perfbench's rank_small stream
 # (README, "Time and memory per n").
@@ -93,4 +93,5 @@ def unrank_bracelet(z: int, n: int, k: int) -> tuple:
                 hi = mid - 1
         prefix += (lo,)
     check(rank_bracelet(prefix, k).rb == z, f"unrank({z}) re-ranks differently")
+    check(bracelet_representative(prefix) == prefix, f"unrank({z}) is no bracelet representative")
     return prefix

@@ -14,14 +14,16 @@ subwords of length l below w and h = 1 exactly when w is subword b.  So
 w equals subword i at code 2i + 1, lies strictly between subwords b-1 and
 b at the even code 2b, and compares with subword i as its code does with
 2i + 1.  The empty word is the one subword of length 0, at code 1.
-Transitions on codes are memoised in flat arrays and filled on first use.
+The transitions of all codes of one length on every symbol are built
+together, as k successor rows, on the first use of that length.
 
 No subword is stored.  The n rotations of v are sorted once; the cyclic
 subwords of length l are the length-l prefixes of the rotations, and
 subword i is the i-th run of adjacent rotations in that order sharing their
 first l symbols.  Per length the table keeps the run of every order
 position and the first position of every run, and each transition is
-rank arithmetic on those arrays: O(n^2) integers in all.
+rank arithmetic on those arrays: O(n^2) integers in all, and O(k*n^2) more
+once every successor row is filled.
 """
 
 from __future__ import annotations
@@ -77,11 +79,13 @@ class SubwordTable:
     Lengths with as many groups as the previous length share its lists: the
     groups only split as l grows, so an equal count means equal groups.
 
-    Tables are shared through cached_table and fill their transition memos
-    and rotations lazily.  Each entry is a pure function of (p, k): concurrent
-    users can at worst compute one twice and store equal values.  The joint
-    count and the counts up to a floor are kept as integers outside the
-    table (enclosing._joint, api._counts_upto), so they outlive it.
+    Tables are shared through cached_table and fill their successor rows
+    (_app_cache, _pre_cache: length -> rows) and rotations lazily.  Each is
+    a pure function of (p, k), stored in one assignment once complete:
+    concurrent users can at worst compute one twice and store equal values.
+    The joint count and the counts up to a floor are kept as integers
+    outside the table (enclosing._joint, api._counts_upto), so they outlive
+    it.
     """
 
     def __init__(self, p, k: int):
@@ -144,57 +148,66 @@ class SubwordTable:
         for j in range(1, n + 1):
             t = self.thresh[self.fail[j]]
             self.thresh[j] = max(t, p[j]) if j < n else t
-        # the transition from code c at length l on symbol x sits at
-        # base[l] + c*k + x of the append/prepend memo, -1 until first use
         self.width = [2 * s + 1 for s in self.size]
-        self.base = [0] * (n + 1)
-        for l in range(n):
-            self.base[l + 1] = self.base[l] + self.width[l] * k
-        self._app_cache = [-1] * self.base[n]
-        self._pre_cache = [-1] * self.base[n]
+        self._app_cache, self._pre_cache = {}, {}
         self.rotations = None
 
     # ---- bound-state transitions ----
-
-    def append_code(self, l: int, code: int, x: int) -> int:
-        """Code of w.x at length l+1, given the code of w at length l.
-        Correct for every w in the class the code describes."""
-        i = self.base[l] + code * self.k + x
-        r = self._app_cache[i]
-        if r < 0:
-            r = self._app_cache[i] = self._append(l, code, x)
-        return r
-
-    def prepend_code(self, l: int, code: int, x: int) -> int:
-        """Code of x.w at length l+1, given the code of w at length l."""
-        i = self.base[l] + code * self.k + x
-        r = self._pre_cache[i]
-        if r < 0:
-            r = self._pre_cache[i] = self._prepend(l, code, x)
-        return r
-
     # A code at length l spans the order positions first[l][code >> 1] up
     # to first[l][(code + 1) >> 1]: its subword's run when odd, the empty
     # boundary before run code >> 1 when even.  A grown word lands on a
     # group boundary r of the next length, where its code is 2*grp[r], plus
     # 1 if it is the group there.
 
-    def _append(self, l, code, x):
-        first, grp = self.first[l], self.grp[l + 1]
-        lo, hi = first[code >> 1], first[(code + 1) >> 1]
-        if lo == hi:  # a word between two runs stays between their extensions
-            return 2 * grp[lo]
-        # the run's rotations continue with non-decreasing symbols
-        ext, order = self.ext, self.order
-        r = bisect_left(order, x, lo, hi, key=lambda i: ext[i + l])
-        return 2 * grp[r] + (r < hi and ext[order[r] + l] == x)
+    def append_rows(self, l: int) -> list:
+        """rows[x][code]: the code of w.x at length l+1, given the code of
+        w at length l, for every w in the class the code describes."""
+        rows = self._app_cache.get(l)
+        if rows is None:
+            first, grp = self.first[l], self.grp[l + 1]
+            # the rotations of a run continue with non-decreasing symbols
+            sym = [self.ext[i + l] for i in self.order]
+            # a word between two runs stays between their extensions
+            even = [2 * grp[r] for r in first]
+            runs = list(zip(first, first[1:]))
+            rows = []
+            for x in range(self.k):
+                row = [0] * self.width[l]
+                row[::2] = even
+                for j, (lo, hi) in enumerate(runs):
+                    r = bisect_left(sym, x, lo, hi)
+                    row[2 * j + 1] = 2 * grp[r] + (r < hi and sym[r] == x)
+                rows.append(row)
+            self._app_cache[l] = rows
+        return rows
 
-    def _prepend(self, l, code, x):
-        # x.w lies among the rotations starting with x, ordered by their tails
-        tail, first = self.tail[x], self.first[l]
-        i = bisect_left(tail, first[code >> 1])
-        hit = i < len(tail) and tail[i] < first[(code + 1) >> 1]
-        return 2 * self.grp[l + 1][self.below[x] + i] + hit
+    def prepend_rows(self, l: int) -> list:
+        """rows[x][code]: the code of x.w at length l+1, given the code of
+        w at length l."""
+        rows = self._pre_cache.get(l)
+        if rows is None:
+            first, grp = self.first[l], self.grp[l + 1]
+            rows = []
+            for x in range(self.k):
+                # x.w lies among the rotations starting with x, ordered by
+                # their tails; i[g] of them have tails before run g
+                tail, below = self.tail[x], self.below[x]
+                i = [bisect_left(tail, r) for r in first]
+                even = [2 * grp[below + a] for a in i]
+                row = [0] * self.width[l]
+                row[::2] = even
+                row[1::2] = [e + (b > a) for e, a, b in zip(even, i, i[1:])]
+                rows.append(row)
+            self._pre_cache[l] = rows
+        return rows
+
+    def append_code(self, l: int, code: int, x: int) -> int:
+        """Code of w.x at length l+1, given the code of w at length l."""
+        return self.append_rows(l)[x][code]
+
+    def prepend_code(self, l: int, code: int, x: int) -> int:
+        """Code of x.w at length l+1, given the code of w at length l."""
+        return self.prepend_rows(l)[x][code]
 
     def wrap_ok(self, j: int, code: int) -> bool:
         """Whether the wrapped rotations of a finished word of length n all

@@ -50,11 +50,11 @@ def _joint_count(table: SubwordTable) -> int:
     rotations at M(l, lm) = {1..d-l} u {d-l+b : b in chain[lm]} are
     compared again, so each maps to its class, the largest even code
     2*pos_id[l][m % d] + 2 <= c over m in M, else 0: exact, as M only
-    shrinks as l grows.  Per layer, each present b fills one successor row
-    per symbol (its prepend successor; on p[0], the codes below p[1:l] drop
-    and the code of p[1:l] opens lm = l), and each present lm one class
-    list: the one over {1..d-l}, with the span of each chain rotation's
-    code raised to it.  A reverse code then maps with two lookups.
+    shrinks as l grows.  Per layer, the table's prepend rows give each b
+    its successor per symbol (on p[0], the codes below p[1:l] drop and the
+    code of p[1:l] opens lm = l), and each present lm fills one class list:
+    the one over {1..d-l}, with the span of each chain rotation's code
+    raised to it.  A reverse code then maps with two lookups.
     """
     d, k, p = table.n, table.k, table.p
     check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
@@ -86,22 +86,15 @@ def _joint_count(table: SubwordTable) -> int:
             return cl
 
         codes = set().union(*states.values())
-        present = {rc % w_cur for rc in codes}
+        rows = table.prepend_rows(t)
         # on x = p0 a rotation of w^R opens at the code of p[1:l] (the
         # empty word at t = 0) and drops below p from the codes under it
         opener = 2 * table.pos_id[t][1 % d] + 1
-        above = {br for br in present if br > opener}
-        if opener in present:
-            opened = l * w_next + classes(l)[table.prepend_code(t, opener, p0)]
-        # per symbol: bound code -> prepend successor, and reverse code ->
-        # successor, -1 where a rotation drops
-        rmaps, rest = {}, []
-        for x in range(p0, k):
-            row, rmaps[x] = [0] * w_cur, [-1] * (l * w_cur)
-            for br in present if x > p0 else above:
-                row[br] = table.prepend_code(t, br, x)
-            rest.append((row, rmaps[x]))
-        row0, map0 = rest.pop(0)
+        opened = l * w_next + classes(l)[rows[p0][opener]]
+        # per symbol: reverse code -> successor, -1 where a rotation drops
+        rmaps = {x: [-1] * (l * w_cur) for x in range(p0, k)}
+        row0, map0 = rows[p0], rmaps[p0]
+        rest = [(rows[x], rmaps[x]) for x in range(p0 + 1, k)]
         cls = {0: canon}
         for rc in codes:
             lm, br = divmod(rc, w_cur)
@@ -111,12 +104,12 @@ def _joint_count(table: SubwordTable) -> int:
             off = lm * w_next
             for row, rmap in rest:
                 rmap[rc] = off + cl[row[br]]
-            if br in above:
+            if br > opener:
                 map0[rc] = off + cl[row0[br]]
             elif br == opener:
                 map0[rc] = opened
         reset = {}
-        nxt = {0: reset}
+        nxt, get = {0: reset}, reset.get
         for r, rev in states.items():
             fr = p[r]
             if l == d:  # the last symbol closes the last block
@@ -125,12 +118,13 @@ def _joint_count(table: SubwordTable) -> int:
                 rmap = rmaps[x]
                 for rc, c in rev.items():
                     nrc = rmap[rc]
-                    reset[nrc] = reset.get(nrc, 0) + c
+                    reset[nrc] = get(nrc, 0) + c
             if l < d:
                 rmap, tgt = rmaps[fr], {}
+                tget = tgt.get
                 for rc, c in rev.items():
                     nrc = rmap[rc]
-                    tgt[nrc] = tgt.get(nrc, 0) + c
+                    tgt[nrc] = tget(nrc, 0) + c
                 nxt[r + 1] = tgt
         for tgt in nxt.values():
             tgt.pop(-1, None)

@@ -34,32 +34,28 @@ to f, and subtracts f itself when f = v is palindromic.
 from __future__ import annotations
 
 from .bounding import cached_table
-from .errors import check
+from .errors import InternalError, check
 from .words import alphabet_size, as_index, floor_necklace, min_rotation, validate_word
-
-
-def _push(table, nxt, j, code, c, l):
-    """Add c doubled words of length l with match state j and bound code
-    `code` unless they fell below the v-prefix.  A word equal to v[:l]
-    matches all of it, which growth at the back cannot see."""
-    prefix = 2 * table.prefix_id[l] + 1
-    if code >= prefix:
-        if code == prefix:
-            j = l
-        key = (j, code)
-        nxt[key] = nxt.get(key, 0) + c
 
 
 def _step(table, states, dl):
     """Grow doubled words by one symbol on each side, from length dl to
-    dl + 2: reverse(u).u for even dl, reverse(phi).x.phi for odd dl."""
-    nxt, k = {}, table.k
-    delta, thresh = table.delta, table.thresh
+    l = dl + 2: reverse(u).u for even dl, reverse(phi).x.phi for odd dl.
+    Words that fell below v[:l] are dropped; a word equal to v[:l] matches
+    all of it, which growth at the back cannot see."""
+    nxt, k, l = {}, table.k, dl + 2
+    delta, thresh, get = table.delta, table.thresh, nxt.get
+    app, pre = table.append_rows(dl), table.prepend_rows(dl + 1)
+    prefix = 2 * table.prefix_id[l] + 1
     for (j, code), c in states.items():
+        dj = delta[j]
         for x in range(thresh[j], k):
-            st = table.prepend_code(dl + 1, table.append_code(dl, code, x), x)
-            check(code & 1 or not st & 1, "a strictly bounded doubled word became a subword")
-            _push(table, nxt, delta[j][x], st, c, dl + 2)
+            st = pre[x][app[x][code]]
+            if st & 1 and not code & 1:
+                raise InternalError("a strictly bounded doubled word became a subword")
+            if st >= prefix:
+                key = (l if st == prefix else dj[x], st)
+                nxt[key] = get(key, 0) + c
     return nxt
 
 
@@ -84,11 +80,18 @@ def _append_one(table, states, l):
     """The states at length l+1 of the words of length l followed by one
     more symbol: the middle symbol of the odd walk at l = 0, and at
     l = n-1 the words reverse(u).u.x and reverse(phi).x.phi.y, rotations of
-    phi.x.reverse(phi) and x.phi.y.reverse(phi)."""
-    nxt = {}
+    phi.x.reverse(phi) and x.phi.y.reverse(phi).  Words are dropped and
+    matched as in _step."""
+    nxt, k = {}, table.k
+    delta, thresh, get = table.delta, table.thresh, nxt.get
+    app, prefix = table.append_rows(l), 2 * table.prefix_id[l + 1] + 1
     for (j, code), c in states.items():
-        for x in range(table.thresh[j], table.k):
-            _push(table, nxt, table.delta[j][x], table.append_code(l, code, x), c, l + 1)
+        dj = delta[j]
+        for x in range(thresh[j], k):
+            st = app[x][code]
+            if st >= prefix:
+                key = (l + 1 if st == prefix else dj[x], st)
+                nxt[key] = get(key, 0) + c
     return nxt
 
 

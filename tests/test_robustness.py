@@ -124,8 +124,7 @@ m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
     # make every rank of unrank(5, 6, 2)'s answer, found by one unpatched
     # call, one too low: the search takes the same path, as the answer still
     # ranks <= z, so only the final re-rank can notice, however many ranks
-    # the search makes.  One too high would steer the search to an equally
-    # ranked non-representative word, whose re-rank is right.
+    # the search makes.
     "unrank_rerank": """
 import dataclasses
 import braceletrank.api as m
@@ -136,7 +135,31 @@ def rank(w, k):
 m.rank_bracelet = rank
 m.unrank_bracelet(5, 6, 2)
 """,
+    # one too high instead steers the search to an equally ranked word that
+    # is no representative, (0, 0, 1, 0, 0, 0), whose re-rank is right
+    "unrank_representative": """
+import dataclasses
+import braceletrank.api as m
+real, answer = m.rank_bracelet, m.unrank_bracelet(5, 6, 2)
+def rank(w, k):
+    bd = real(w, k)
+    return dataclasses.replace(bd, rb=bd.rb + (tuple(w) == answer))
+m.rank_bracelet = rank
+m.unrank_bracelet(5, 6, 2)
+""",
+    # every strict code's prepend successor made exact
+    "prepend_rows": """
+from braceletrank.bounding import SubwordTable
+import braceletrank.palindromic as m
+real = SubwordTable.prepend_rows
+def rows(table, l):
+    return [[c | 1 if i % 2 == 0 else c for i, c in enumerate(row)] for row in real(table, l)]
+SubwordTable.prepend_rows = rows
+m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
+""",
 }
+# the message of the check that must fire, where another could fire first
+MESSAGES = {"prepend_rows": "a strictly bounded doubled word became a subword"}
 
 
 @pytest.mark.parametrize("name", sorted(OFF_BY_ONE))
@@ -150,3 +173,4 @@ def test_self_checks_fire_under_optimize(name):
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("InternalError:"), out.stdout + out.stderr
+    assert MESSAGES.get(name, "") in out.stdout

@@ -61,10 +61,11 @@ def _assert_same(p, k):
         assert t.pos_id[l] == ref.pos_id[l], (p, l)
         assert t.prefix_id[l] == ref.pos_id[l][0], (p, l)
     for l in range(t.n):
-        for code in range(t.width[l]):
-            for x in range(k):
-                assert t.append_code(l, code, x) == ref.append(l, code, x), (p, l, code, x)
-                assert t.prepend_code(l, code, x) == ref.prepend(l, code, x), (p, l, code, x)
+        app, pre = t.append_rows(l), t.prepend_rows(l)
+        assert len(app) == len(pre) == k, (p, l)
+        for x in range(k):
+            assert app[x] == [ref.append(l, c, x) for c in range(t.width[l])], (p, l, x)
+            assert pre[x] == [ref.prepend(l, c, x) for c in range(t.width[l])], (p, l, x)
 
 
 @pytest.mark.parametrize("k,nmax", [(2, 8), (3, 5), (4, 4)])
@@ -91,6 +92,25 @@ def _scale_patterns():
 
 def test_scale_patterns_match_reference():
     for p, k in _scale_patterns():
+        _assert_same(p, k)
+
+
+def _large_patterns():
+    rng = random.Random(15)
+    out = []
+    for n, k in ((60, 4), (90, 3), (120, 2), (100, 4)):
+        out.append((naive_min_rotation(tuple(rng.randrange(k) for _ in range(n))), k))
+        u = tuple(rng.randrange(k) for _ in range(n // 6))
+        out.append((naive_min_rotation(u * 6), k))
+        out.append(((0,) * n, k))
+        out.append(((0,) * (n - 1) + (1,), k))
+    return out
+
+
+def test_large_patterns_match_reference():
+    # every row at every length, past the sizes above: random necklaces,
+    # powers u^6, constant words and 0^(n-1)1
+    for p, k in _large_patterns():
         _assert_same(p, k)
 
 
