@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .bounding import SubwordTable
 from .enclosing import count_enclosing_upto
 from .errors import check
 from .necklace import count_necklaces, count_necklaces_upto
@@ -48,8 +49,9 @@ class RankBreakdown:
 @lru_cache(maxsize=FLOOR_MEMO)
 def _counts_upto(f: tuple, k: int) -> tuple:
     """(N, P, E) up to the necklace f, memoised per (f, k): every word with
-    floor f shares them."""
-    nc, pc, ec = count_necklaces_upto(f, k), count_palindromic_upto(f, k), count_enclosing_upto(f, k)
+    floor f shares them.  P and E run on f's table, built here."""
+    table = SubwordTable(f, k)
+    nc, pc, ec = count_necklaces_upto(f, k), count_palindromic_upto(table), count_enclosing_upto(table)
     check((nc + pc + ec) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} E={ec}")
     return nc, pc, ec
 

@@ -6,7 +6,7 @@ w not itself a subword) is *strictly bounded* by the largest subword
 s in S(v, l) with s < w; no subword lies in (s, w].  The tables built here
 answer, memoised on first use, how that bound evolves when a symbol is
 appended or prepended to w, which is what the joint and palindromic DPs
-run on.
+run on, one table per count.
 
 The DPs run on one integer bound code per word, and code order is word
 order.  At length l a word w has code 2b + h, where b is the number of
@@ -73,19 +73,14 @@ class SubwordTable:
         size[l], width[l]: S_l and the number of codes (2*S_l + 1) at length
             l; at l = 0 the empty word is the one group, spanning every
             order position
-        rotations: the number of words whose rotations all lie above p,
-            computed once per table by the necklace module
 
     Lengths with as many groups as the previous length share its lists: the
     groups only split as l grows, so an equal count means equal groups.
 
-    Tables are shared through cached_table and fill their successor rows
-    (_app_cache, _pre_cache: length -> rows) and rotations lazily.  Each is
-    a pure function of (p, k), stored in one assignment once complete:
-    concurrent users can at worst compute one twice and store equal values.
-    The joint count and the counts up to a floor are kept as integers
-    outside the table (enclosing._joint, api._counts_upto), so they outlive
-    it.
+    A table serves one count, kept as an integer (api._counts_upto,
+    enclosing._joint).  It fills its successor rows (_app_cache, _pre_cache:
+    length -> rows) lazily, each a pure function of (p, k) stored in one
+    assignment: concurrent users can at worst build a row twice.
     """
 
     def __init__(self, p, k: int):
@@ -150,7 +145,6 @@ class SubwordTable:
             self.thresh[j] = max(t, p[j]) if j < n else t
         self.width = [2 * s + 1 for s in self.size]
         self._app_cache, self._pre_cache = {}, {}
-        self.rotations = None
 
     # ---- bound-state transitions ----
     # A code at length l spans the order positions first[l][code >> 1] up
@@ -219,10 +213,10 @@ class SubwordTable:
         return all(code > 2 * pos[m % self.n] + 1 for m in self.chain[j])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def cached_table(p: tuple, k: int) -> SubwordTable:
-    """Shared tables: one query's counts read the same prefixes, and so do
-    unrank's probes.  The counts themselves are memoised as integers."""
+    """SubwordTable(p, k) for a joint-count memo miss (enclosing._joint),
+    keeping only the last one: the count is memoised as an integer."""
     return SubwordTable(p, k)
 
 

@@ -11,10 +11,11 @@ divisors P | n; Mobius inversion turns each term into word counts
     W(d) = #{ w in Sigma^d : min-rotation(w)^(n/d) <= f
                              < min-rotation(w^R)^(n/d) }
 
-which reduce to counts against the prenecklace p = f[:d] read off p's
-shared SubwordTable alone: the closed-walk count of the necklace module
-less a joint DP that walks the word's blocks while it tracks its
-reversal's bound code.
+which reduce to counts against the prenecklace p = f[:d]: the necklace
+module's closed-walk count less a joint DP that walks the word's blocks on
+p's SubwordTable while it tracks its reversal's bound code.  At d = n that
+is the floor's table, passed down; a proper prefix's table is built only
+when its memoised joint count misses.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .necklace import classes_of_length, count_all_rotations_above
+from .necklace import _rotation_dp, classes_of_length
 from .words import floor_necklace, min_rotation, validate_word
 
 # Prefixes whose joint count J(p) is kept, as for api.FLOOR_MEMO.
@@ -134,24 +135,26 @@ def _joint_count(table: SubwordTable) -> int:
 
 @lru_cache(maxsize=JOINT_MEMO)
 def _joint(p: tuple, k: int) -> int:
-    """_joint_count of p's shared table, memoised per (p, k): the floors of
-    different words, and unrank's probes, share prefixes."""
+    """_joint_count of a proper prefix p of floors, memoised per (p, k): the
+    floors of different words, and unrank's probes, share prefixes."""
     return _joint_count(cached_table(p, k))
 
 
-def _enclosing_word_count(table: SubwordTable) -> int:
+def _enclosing_word_count(table: SubwordTable, d: int) -> int:
     """#{w in Sigma^d : min-rotation(w) <= p < min-rotation(w^R)}, p =
-    table.p of length d: W(d) of the module docstring for p = f[:d], as a
+    f[:d] for the floor f = table.p: W(d) of the module docstring, as a
     word of length d lies on the same side of p as its power does of f,
     and p^(n/d) <= f."""
+    p, k = table.p[:d], table.k
+    joint = _joint_count(table) if d == table.n else _joint(p, k)
     # words whose reversal's rotations all exceed p (reversal is a
     # bijection), less those whose own rotations also all exceed p
-    return count_all_rotations_above(table) - _joint(table.p, table.k)
+    return _rotation_dp(p, k) - joint
 
 
-def count_enclosing_upto(f, k: int) -> int:
-    """Bracelets [b] with <b> <= f < <reverse(b)>, f a necklace; unchecked."""
-    return classes_of_length(len(f), lambda d: _enclosing_word_count(cached_table(f[:d], k)))
+def count_enclosing_upto(table: SubwordTable) -> int:
+    """Bracelets [b] with <b> <= f < <reverse(b)>, f = table.p; unchecked."""
+    return classes_of_length(table.n, lambda d: _enclosing_word_count(table, d))
 
 
 def rank_enclosing(v, k: int) -> int:
@@ -161,7 +164,7 @@ def rank_enclosing(v, k: int) -> int:
     its smaller representative, as no representative lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    return count_enclosing_upto(f, k) - (f == v and min_rotation(f[::-1]) > f)
+    return count_enclosing_upto(SubwordTable(f, k)) - (f == v and min_rotation(f[::-1]) > f)
 
 
 # --- diagnostic suffix-state layers ----------------------------------------
@@ -178,7 +181,7 @@ def build_SE(v, k: int) -> dict:
     in S(v, n-i) encoded as ("exact", id) or ("strict", id).
     """
     n = len(v)
-    table = cached_table(tuple(v), k)
+    table = SubwordTable(tuple(v), k)
     states, out = {(0, 1): 1}, {}  # {(match state, bound code): count}
     for t in range(n - 1):
         nxt = {}

@@ -13,9 +13,8 @@ automaton, along which the symbols of p are the forced ones.
 
 from __future__ import annotations
 
-from .bounding import SubwordTable, cached_table
 from .errors import check
-from .words import alphabet_size, as_index, floor_necklace, validate_word
+from .words import alphabet_size, as_index, floor_necklace, lyndon_prefix, validate_word
 
 
 def divisors(n: int) -> list:
@@ -34,9 +33,9 @@ def mobius(m: int) -> int:
     return -res if m > 1 else res
 
 
-def _rotation_dp(table: SubwordTable) -> int:
-    """#words of length d = |p| whose every rotation is > p, for a
-    prenecklace p (a prefix of a necklace).
+def _rotation_dp(p: tuple, k: int) -> int:
+    """#words of length d = |p| over k symbols whose every rotation is > p,
+    for a prenecklace p (a prefix of a necklace).
 
     A word whose rotations all stay >= p labels exactly one closed walk of
     length d on p's automaton: its state at each position is the longest
@@ -50,10 +49,10 @@ def _rotation_dp(table: SubwordTable) -> int:
         A(p) = sum over r < d of (r+1) c(r) B(d-r-1),
         B(0) = 1,  B(m) = sum over r < m of c(r) B(m-r-1).
 
-    O(d^2) (Kociumaka, Radoszewski & Rytter, SIAM J. Discrete Math. 30(4),
-    2016)."""
-    d, k, p = table.n, table.k, table.p
-    check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
+    O(d^2) from p and k alone (Kociumaka, Radoszewski & Rytter, SIAM J.
+    Discrete Math. 30(4), 2016)."""
+    d = len(p)
+    check(lyndon_prefix(p)[1] == d, "the pattern is not a prenecklace")
     c = [k - 1 - x for x in p]
     b = [1]
     for m in range(1, d):
@@ -61,22 +60,14 @@ def _rotation_dp(table: SubwordTable) -> int:
     return sum((r + 1) * c[r] * b[d - r - 1] for r in range(d) if c[r])
 
 
-def count_all_rotations_above(table: SubwordTable) -> int:
-    """Number of words u with |u| = |p| such that every rotation of u is
-    > p, p the table's pattern."""
-    if table.rotations is None:
-        table.rotations = _rotation_dp(table)
-    return table.rotations
-
-
-def _count_min_rot_upto(table: SubwordTable) -> int:
-    """#{w in Sigma^d : min-rotation(w) <= p}, p = table.p of length d.
+def _count_min_rot_upto(p: tuple, k: int) -> int:
+    """#{w in Sigma^d : min-rotation(w) <= p}, p a prenecklace of length d.
 
     For p = f[:d], f a necklace of length n and d | n, this is
     #{w : min-rotation(w)^(n/d) <= f}: p^(n/d) <= f, and any other word of
     length d lies on the same side of p as its power does of f.
     """
-    return table.k ** table.n - count_all_rotations_above(table)
+    return k ** len(p) - _rotation_dp(p, k)
 
 
 def mobius_quotient(e: int, term) -> int:
@@ -111,7 +102,7 @@ def count_necklaces(n: int, k: int) -> int:
 
 def count_necklaces_upto(f, k: int) -> int:
     """Necklace representatives <= f, a necklace representative; unchecked."""
-    return classes_of_length(len(f), lambda d: _count_min_rot_upto(cached_table(f[:d], k)))
+    return classes_of_length(len(f), lambda d: _count_min_rot_upto(f[:d], k))
 
 
 def rank_necklaces(v, k: int) -> int:

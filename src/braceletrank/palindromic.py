@@ -26,14 +26,15 @@ The forms take the SubwordTable of a necklace representative v.  size_PS
 is the walk at length n; size_PO_PE is the walk at length n-1 plus one
 appended symbol, a rotation of phi.x.reverse(phi) at odd n and of
 x.phi.y.reverse(phi) at even n.  count_palindromic_upto runs the forms on
-a necklace f's table.  rank_palindromic checks its input and floors it
-once to f, which leaves every "classes above" count unchanged, counts up
-to f, and subtracts f itself when f = v is palindromic.
+a necklace f's table, passed down.  rank_palindromic checks its input
+and floors it once to f, which leaves every "classes above" count
+unchanged, counts up to f, and subtracts f itself when f = v is
+palindromic.
 """
 
 from __future__ import annotations
 
-from .bounding import cached_table
+from .bounding import SubwordTable
 from .errors import InternalError, check
 from .words import alphabet_size, as_index, floor_necklace, min_rotation, validate_word
 
@@ -125,15 +126,14 @@ def total_palindromic(n: int, k: int) -> int:
     return (k ** ((n + 1) // 2) + k ** (n // 2 + 1)) // 2
 
 
-def count_palindromic_upto(f, k: int) -> int:
-    """Palindromic necklace representatives <= f, a necklace; unchecked."""
-    n, table = len(f), cached_table(f, k)
-    greater = size_PO_PE(table)
+def count_palindromic_upto(table) -> int:
+    """Palindromic necklace representatives <= f = table.p; unchecked."""
+    n, greater = table.n, size_PO_PE(table)
     if n % 2 == 0:
         ps = size_PS(table)
         check((greater + ps) % 2 == 0, "size_PE and size_PS out of parity")
         greater = (greater + ps) // 2
-    return total_palindromic(n, k) - greater
+    return total_palindromic(n, table.k) - greater
 
 
 def rank_palindromic(v, k: int) -> int:
@@ -142,7 +142,7 @@ def rank_palindromic(v, k: int) -> int:
     less f when f = v and f is palindromic, as none lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    return count_palindromic_upto(f, k) - (f == v and min_rotation(f[::-1]) == f)
+    return count_palindromic_upto(SubwordTable(f, k)) - (f == v and min_rotation(f[::-1]) == f)
 
 
 # --- diagnostic layer dumps -------------------------------------------------
@@ -150,7 +150,7 @@ def rank_palindromic(v, k: int) -> int:
 def _layer_counts(v, k, final_len, index) -> dict:
     if min_rotation(tuple(v)) != tuple(v):
         raise ValueError("layer dumps require a necklace representative")
-    out, table = {}, cached_table(tuple(v), k)
+    out, table = {}, SubwordTable(tuple(v), k)
 
     def sink(dl, states):
         for (j, code), c in states.items():

@@ -125,27 +125,34 @@ def _failure(v: Word) -> list:
     return fail
 
 
+def lyndon_prefix(w: Word) -> tuple:
+    """Duval's scan: (p, i), p the length of w's longest Lyndon prefix and i
+    where a symbol first drops below its copy p places back, else len(w),
+    which makes w a prenecklace; a necklace when p also divides len(w)."""
+    n, p, i = len(w), 1, 1
+    while i < n and w[i] >= w[i - p]:
+        if w[i] > w[i - p]:
+            p = i + 1
+        i += 1
+    return p, i
+
+
 def floor_necklace(w: Word, k: int) -> Word:
     """Largest necklace representative <= w over a k-letter alphabet.
 
-    Walks down the prenecklaces (prefixes of necklaces).  Duval's scan
-    keeps p, the length of the longest Lyndon prefix, and stops where a
-    symbol drops below its copy p places back.  A prenecklace with p | n is
-    a necklace.  Otherwise every necklace below w first differs from it at
-    or before w[p-1], the last symbol that rose above its copy: lowering a
-    copied symbol leaves the prenecklaces.  So the floor of w is the floor
-    of w with w[p-1] lowered by one and every later symbol raised to k-1.
+    Walks down the prenecklaces with Duval's scan (lyndon_prefix).  A
+    prenecklace with p | n is a necklace.  Otherwise every necklace below w
+    first differs from it at or before w[p-1], the last symbol that rose
+    above its copy: lowering a copied symbol leaves the prenecklaces.  So
+    the floor of w is the floor of w with w[p-1] lowered by one and every
+    later symbol raised to k-1.
     """
     _check_nonempty(w)
     if any(x < 0 or x >= k for x in w):
         raise ValueError("symbol index out of range")
     w, n = list(w), len(w)
     while True:
-        p, i = 1, 1
-        while i < n and w[i] >= w[i - p]:
-            if w[i] > w[i - p]:
-                p = i + 1
-            i += 1
+        p, i = lyndon_prefix(w)
         if i == n and n % p == 0:
             return tuple(w)
         w[p - 1:] = [w[p - 1] - 1] + [k - 1] * (n - p)

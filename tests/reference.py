@@ -12,7 +12,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 
 from braceletrank import palindromic
-from braceletrank.bounding import SubwordTable, cached_table
+from braceletrank.bounding import SubwordTable
 from braceletrank.errors import check
 from braceletrank.words import floor_necklace, min_rotation, validate_word
 
@@ -159,7 +159,7 @@ def brute_size_ps(v, k: int) -> int:
 
 def _floor_table(v, k: int) -> SubwordTable:
     v, k = validate_word(v, k)
-    return cached_table(floor_necklace(v, k), k)
+    return SubwordTable(floor_necklace(v, k), k)
 
 
 def size_PO(v, k: int) -> int:
@@ -187,7 +187,7 @@ def size_X(v, k: int, j: int, s: int) -> int:
     |v| symbols; s indexes S(v, n-1)."""
     v, k = validate_word(v, k)
     n = len(v)
-    sval = cached_table(v, k).sub[n - 1][s]
+    sval = SubwordTable(v, k).sub[n - 1][s]
     return sum(1 for x in range(k) if (v[:j] + (x,) + sval)[:n] >= v)
 
 

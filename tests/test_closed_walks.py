@@ -27,7 +27,7 @@ from util import (all_words, is_necklace, is_prenecklace, naive_min_rotation, ne
 
 
 def _agree(p, k):
-    walks = _rotation_dp(SubwordTable(p, k))
+    walks = _rotation_dp(p, k)
     assert walks == rotation_count_dp(p, k, strict=True), p
     cls = period(p) if is_necklace(p) else 0
     assert rotation_count_dp(p, k) == walks + cls, p
@@ -78,15 +78,15 @@ def test_joint_count_on_random_prenecklaces(drawn):
 
 @pytest.mark.parametrize("k,nmax", [(2, 10), (3, 6), (4, 5)])
 def test_divisor_terms_match_definition(k, nmax):
-    # for every necklace f and d | n = |f|, the terms read off the table of
-    # p = f[:d] alone count the words w of length d by the powers of their
-    # class minima: those up to f, and those whose reversal's lies above f
+    # for every necklace f and d | n = |f|, the terms of p = f[:d] count the
+    # words w of length d by the powers of their class minima: those up to
+    # f, and those whose reversal's lies above f
     for n in range(1, nmax + 1):
         for d in (d for d in range(1, n + 1) if n % d == 0):
             m = n // d
             powers = [(naive_min_rotation(w) * m, naive_min_rotation(w[::-1]) * m)
                       for w in all_words(d, k)]
             for f in necklace_reps(n, k):
-                table = SubwordTable(f[:d], k)
-                assert _count_min_rot_upto(table) == sum(a <= f for a, _ in powers), (f, d)
-                assert _enclosing_word_count(table) == sum(a <= f < b for a, b in powers), (f, d)
+                table = SubwordTable(f, k)
+                assert _count_min_rot_upto(f[:d], k) == sum(a <= f for a, _ in powers), (f, d)
+                assert _enclosing_word_count(table, d) == sum(a <= f < b for a, b in powers), (f, d)

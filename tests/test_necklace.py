@@ -1,19 +1,10 @@
 import random
 from bisect import bisect_left
 
-from braceletrank.bounding import SubwordTable
-from braceletrank.necklace import (
-    _count_min_rot_upto,
-    count_all_rotations_above as _count_all_rotations_above,
-    mobius_quotient,
-    rank_necklaces,
-)
+from braceletrank.necklace import _count_min_rot_upto, mobius_quotient, rank_necklaces
+from braceletrank.necklace import _rotation_dp as count_all_rotations_above
 from util import (all_words, enc, is_necklace, is_prenecklace, naive_min_rotation,
                   necklace_reps, period, prenecklaces, rotations)
-
-
-def count_all_rotations_above(w, k):
-    return _count_all_rotations_above(SubwordTable(w, k))
 
 
 def count_all_rotations_geq(w, k):
@@ -24,7 +15,7 @@ def count_all_rotations_geq(w, k):
 def count_lyndon_below(w, k):
     """Number of Lyndon words of length |w| strictly smaller than w, for a
     necklace w: the divisor terms count those up to w."""
-    upto = mobius_quotient(len(w), lambda d: _count_min_rot_upto(SubwordTable(w[:d], k)))
+    upto = mobius_quotient(len(w), lambda d: _count_min_rot_upto(w[:d], k))
     return upto - _is_lyndon(w)
 
 

@@ -2,7 +2,7 @@ from bisect import bisect_left
 
 import pytest
 
-from braceletrank.bounding import cached_table
+from braceletrank.bounding import SubwordTable
 from braceletrank.palindromic import (
     _above,
     _append_one,
@@ -35,7 +35,7 @@ def test_size_x_examples():
     assert size_X((0,) * 5, 2, 0, 0) == 2
     assert size_X((0,) * 5, 2, 2, 0) == 2
     # v = aab, s = the largest length-2 subword (ba)
-    t = cached_table(enc("aab"), 2)
+    t = SubwordTable(enc("aab"), 2)
     s = list(t.sub[2]).index(enc("ba"))
     assert size_X(enc("aab"), 2, 0, s) == 2
 
@@ -49,7 +49,7 @@ def test_size_x_matches_internal_closure_on_reachable_states():
                 if not is_necklace(v):
                     continue
                 cells = po_layer_counts(v, k)
-                t = cached_table(v, k)
+                t = SubwordTable(v, k)
                 seen = set()
                 for (i, j, s) in cells:
                     if i == (n - 1) // 2 and (j, s) not in seen:
@@ -66,7 +66,7 @@ def test_exact_states_are_the_palindromic_subwords():
         for v in all_words(n, 2):
             if not is_necklace(v):
                 continue
-            t = cached_table(v, 2)
+            t = SubwordTable(v, 2)
             layers = {}
 
             def sink(l, states):

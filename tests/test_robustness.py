@@ -86,13 +86,13 @@ OFF_BY_ONE = {
     "rank_parity": """
 import braceletrank.api as m
 real = m.count_enclosing_upto
-m.count_enclosing_upto = lambda f, k: real(f, k) + 1
+m.count_enclosing_upto = lambda table: real(table) + 1
 m.rank_bracelet((0, 1, 1, 0, 1), 2)
 """,
     "mobius_divisibility": """
 import braceletrank.necklace as m
 real = m._count_min_rot_upto
-m._count_min_rot_upto = lambda table: real(table) + (table.n == 6)
+m._count_min_rot_upto = lambda p, k: real(p, k) + (len(p) == 6)
 m.rank_necklaces((0, 1, 1, 0, 1, 1), 2)
 """,
     # the joint count of the full-length prefix alone: W(n) moves by one,
@@ -106,9 +106,8 @@ m.rank_enclosing((0, 0, 1, 0, 1, 1), 2)
     # the closed-walk counts take only prenecklaces (prefixes of necklaces),
     # whose forced symbols are the pattern itself; (1, 0) is none
     "prenecklace_rotation_dp": """
-from braceletrank.bounding import SubwordTable
 from braceletrank.necklace import _rotation_dp
-_rotation_dp(SubwordTable((1, 0), 2))
+_rotation_dp((1, 0), 2)
 """,
     "prenecklace_joint_count": """
 from braceletrank.bounding import SubwordTable

@@ -9,10 +9,11 @@ from braceletrank.words import (
     bracelet_representative,
     floor_necklace,
     is_palindromic_necklace,
+    lyndon_prefix,
     min_rotation,
 )
 from util import (all_words, enc, is_necklace, lyndon_prefix_length, match_state, naive_min_rotation,
-                  necklace_reps, period, rotations)
+                  necklace_reps, period, prenecklaces, rotations)
 
 
 def test_alphabet_roundtrip():
@@ -95,6 +96,20 @@ def test_lyndon_prefix_brute():
         for w in all_words(n, 3):
             best = max(l for l in range(1, n + 1) if _is_lyndon(w[:l]))
             assert lyndon_prefix_length(w) == best
+
+
+@pytest.mark.parametrize("k,nmax", [(2, 10), (3, 6), (4, 5)])
+def test_duval_scan(k, nmax):
+    # the package's scan, shared by floor_necklace and the rotation count's
+    # prenecklace check: the longest Lyndon prefix of every word, and the
+    # end of the word reached exactly on the FKM generator's prenecklaces
+    for n in range(1, nmax + 1):
+        pre = dict(prenecklaces(n, k))
+        for w in all_words(n, k):
+            p, i = lyndon_prefix(w)
+            assert p == lyndon_prefix_length(w), w
+            assert (i == n) == (w in pre), w
+            assert i == n or w[i] < w[i - p], w
 
 
 def test_suffix_prefix_match():
