@@ -7,6 +7,13 @@ P and E count the necklace and palindromic necklace representatives <= f
 and the bracelets with smaller representative <= f < larger, each bracelet
 with smaller representative <= f twice in all.  So rb = (N + P + E) / 2 -
 [f = v <= <reverse(f)>] = (rn + rp + re + mirror_adjust) / 2.
+
+Unranking searches, then walks.  A binary search per position, one rank
+per probe, narrows the block of representatives that begin with the prefix
+chosen so far; once that block holds at most WALK_BLOCK of them, the FKM
+prenecklace walk lists it.  The walk costs O(WALK_BLOCK * n) and saves the
+probes of the last ~log_k(2 * n * WALK_BLOCK) positions, each a rank with
+its own joint DP.
 """
 
 from __future__ import annotations
@@ -19,11 +26,15 @@ from .enclosing import count_enclosing_upto
 from .errors import check
 from .necklace import count_necklaces, count_necklaces_upto
 from .palindromic import count_palindromic_upto, total_palindromic
-from .words import as_index, bracelet_representative, floor_necklace, min_rotation, validate_word
+from .words import (as_index, bracelet_representative, floor_necklace, min_rotation, prenecklaces_from,
+                    validate_word)
 
 # Floors whose counts are kept, sized on perfbench's rank_small stream
 # (README, "Time and memory per n").
 FLOOR_MEMO = 4096
+# Largest block of representatives unrank walks instead of probing further;
+# 512 and 1024 tie on perfbench's unrank shapes, 2048 is slower (README).
+WALK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -76,24 +87,35 @@ def count_bracelets(n: int, k: int) -> int:
 
 def unrank_bracelet(z: int, n: int, k: int) -> tuple:
     """The bracelet representative of rank z (0-based) among bracelets of
-    length n, built symbol by symbol with a binary search per position."""
+    length n.  The search keeps the ranks [below, upto) of the block of
+    representatives that begin with its prefix, read off its own probes;
+    once upto - below <= WALK_BLOCK, the walk lists the block, which must
+    hold exactly that many, and the answer is its (z - below)-th."""
     z = as_index(z, "rank")
     total = count_bracelets(n, k)  # checks n and k
     n, k = as_index(n), as_index(k)
     if not 0 <= z < total:
         raise ValueError(f"rank {z} out of range [0, {total})")
-    prefix = ()
-    for i in range(n):
-        lo, hi = 0, k - 1
-        # largest x with rank(prefix + x + minimal fill) <= z
+    prefix, below, upto = (), 0, total
+    while len(prefix) < n and upto - below > WALK_BLOCK:
+        fill = (0,) * (n - len(prefix) - 1)
+        ranks, lo, hi = {}, 0, k - 1
+        # largest x with rank(prefix + x + fill) <= z
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            w = prefix + (mid,) + (0,) * (n - i - 1)
-            if rank_bracelet(w, k).rb <= z:
+            ranks[mid] = rank_bracelet(prefix + (mid,) + fill, k).rb
+            if ranks[mid] <= z:
                 lo = mid
             else:
                 hi = mid - 1
         prefix += (lo,)
-    check(rank_bracelet(prefix, k).rb == z, f"unrank({z}) re-ranks differently")
-    check(bracelet_representative(prefix) == prefix, f"unrank({z}) is no bracelet representative")
-    return prefix
+        below, upto = ranks.get(lo, below), ranks.get(lo + 1, upto)
+    # the necklaces (p | n) no larger than their reversal's necklace
+    reps = [w for w, p in prenecklaces_from(prefix, n, k)
+            if n % p == 0 and w <= min_rotation(w[::-1])]
+    check(len(reps) == upto - below,
+          f"unrank({z}) walked {len(reps)} representatives where the ranks count {upto - below}")
+    answer = reps[z - below]
+    check(rank_bracelet(answer, k).rb == z, f"unrank({z}) re-ranks differently")
+    check(bracelet_representative(answer) == answer, f"unrank({z}) is no bracelet representative")
+    return answer

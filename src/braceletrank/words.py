@@ -137,6 +137,30 @@ def lyndon_prefix(w: Word) -> tuple:
     return p, i
 
 
+def prenecklaces_from(prefix: Word, n: int, k: int):
+    """(w, p) for each prenecklace w of length n over k symbols that begins
+    with prefix, in lexicographic order, p the length of w's longest Lyndon
+    prefix (w is a necklace when p | n).  The FKM walk (Fredricksen, Kessler
+    & Maiorana; Ruskey, Savage & Wang, J. Algorithms 13(3), 1992) from the
+    smallest, prefix repeated with its Lyndon period: raise the last symbol
+    below k-1 and repeat the word up to it, until that symbol is in prefix."""
+    a = list(prefix) or [0]
+    p, i = lyndon_prefix(a)
+    if i < len(a):  # a prefix that is no prenecklace begins none
+        return
+    a = (a[:p] * (n // p + 1))[:n]  # a prenecklace repeats its Lyndon prefix
+    while True:
+        yield tuple(a), p
+        i = n - 1
+        while i >= 0 and a[i] == k - 1:
+            i -= 1
+        if i < len(prefix):
+            return
+        a[i] += 1
+        p = i + 1
+        a[p:] = (a[:p] * (n // p))[:n - p]
+
+
 def floor_necklace(w: Word, k: int) -> Word:
     """Largest necklace representative <= w over a k-letter alphabet.
 

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 import braceletrank
-from braceletrank import words
+from braceletrank import api, words
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from braceletrank.oracle import oracle_rank
 from util import bracelet_reps, enc, is_necklace, naive_min_rotation
@@ -46,6 +46,43 @@ def test_roundtrip_n8():
     for z, rep in enumerate(reps):
         assert rank_bracelet(rep, 2).rb == z
         assert unrank_bracelet(z, 8, 2) == rep
+
+
+# every (n, k) the oracle reaches cheaply
+UNRANK_SHAPES = ([(n, 1) for n in range(1, 7)] + [(n, 2) for n in range(1, 15)]
+                 + [(n, 3) for n in range(1, 10)] + [(n, 4) for n in range(1, 7)])
+
+
+@pytest.mark.parametrize("block", ["search", "walk1", "walk_all"])
+def test_unrank_search_and_walk(block, monkeypatch):
+    # the search alone (a walk over the last symbol's one-word block), a walk
+    # over blocks of one representative, and one walk over all of them
+    for n, k in UNRANK_SHAPES:
+        size = {"search": 0, "walk1": 1, "walk_all": count_bracelets(n, k)}[block]
+        monkeypatch.setattr(api, "WALK_BLOCK", size)
+        assert [unrank_bracelet(z, n, k) for z in range(count_bracelets(n, k))] == bracelet_reps(n, k)
+
+
+def test_golden_unranks():
+    """unrank_bracelet beyond the oracle's reach, at z - 1, z, z + 1 for z
+    drawn by random.Random(17).randrange(B(n, k)), recorded at commit 2042956,
+    whose unrank was a binary search over every position with no walk."""
+    golden = {
+        (48, 2): (1823308037312, ["aaaabaabaaabababbaabbbababababbbbbbbaabaaaabbaab",
+                                  "aaaabaabaaabababbaabbbababababbbbbbbaabaaaabbabb",
+                                  "aaaabaabaaabababbaabbbababababbbbbbbaabaaaabbbab"]),
+        (64, 2): (119375792145743040,
+                  ["aaaabababbbaabbbaabaaababaababaababaabaababaabbaaabbbbababbaabbb",
+                   "aaaabababbbaabbbaabaaababaababaababaabaababaabbaaabbbbababbababb",
+                   "aaaabababbbaabbbaabaaababaababaababaabaababaabbaaabbbbababbabbab"]),
+        (32, 4): (238751586344549568, ["ababbbccacbdbabdcbccdbabcacbacbc",
+                                       "ababbbccacbdbabdcbccdbabcacbacbd",
+                                       "ababbbccacbdbabdcbccdbabcacbaccb"]),
+    }
+    for (n, k), (z, texts) in golden.items():
+        got = [unrank_bracelet(z + i, n, k) for i in range(3)]
+        assert got == [enc(t) for t in texts]
+        assert got[0] < got[1] < got[2]
 
 
 def test_identity_on_representatives_small():

@@ -121,9 +121,8 @@ m.size_PS = lambda table: real(table) + 1
 m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 """,
     # make every rank of unrank(5, 6, 2)'s answer, found by one unpatched
-    # call, one too low: the search takes the same path, as the answer still
-    # ranks <= z, so only the final re-rank can notice, however many ranks
-    # the search makes.
+    # call, one too low: all 13 bracelets of length 6 fit in one walked
+    # block, which no rank bounds, so only the final re-rank can notice.
     "unrank_rerank": """
 import dataclasses
 import braceletrank.api as m
@@ -134,8 +133,9 @@ def rank(w, k):
 m.rank_bracelet = rank
 m.unrank_bracelet(5, 6, 2)
 """,
-    # one too high instead steers the search to an equally ranked word that
-    # is no representative, (0, 0, 1, 0, 0, 0), whose re-rank is right
+    # one too high: the re-rank fires here too, as the walk lists only
+    # representatives; the representative check behind it guards the walk's
+    # filter
     "unrank_representative": """
 import dataclasses
 import braceletrank.api as m
@@ -145,6 +145,19 @@ def rank(w, k):
     return dataclasses.replace(bd, rb=bd.rb + (tuple(w) == answer))
 m.rank_bracelet = rank
 m.unrank_bracelet(5, 6, 2)
+""",
+    # every word above unrank(5, 16, 2)'s answer ranks one higher: the search
+    # takes the same path, but the upper end of the block it walks moves up
+    # by one, so the walk lists one representative fewer than the ranks say
+    "unrank_walk": """
+import dataclasses
+import braceletrank.api as m
+real, answer = m.rank_bracelet, m.unrank_bracelet(5, 16, 2)
+def rank(w, k):
+    bd = real(w, k)
+    return dataclasses.replace(bd, rb=bd.rb + (tuple(w) > answer))
+m.rank_bracelet = rank
+m.unrank_bracelet(5, 16, 2)
 """,
     # every strict code's prepend successor made exact
     "prepend_rows": """
@@ -158,7 +171,8 @@ m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 """,
 }
 # the message of the check that must fire, where another could fire first
-MESSAGES = {"prepend_rows": "a strictly bounded doubled word became a subword"}
+MESSAGES = {"prepend_rows": "a strictly bounded doubled word became a subword",
+            "unrank_walk": "representatives where the ranks count"}
 
 
 @pytest.mark.parametrize("name", sorted(OFF_BY_ONE))

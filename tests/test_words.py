@@ -11,6 +11,7 @@ from braceletrank.words import (
     is_palindromic_necklace,
     lyndon_prefix,
     min_rotation,
+    prenecklaces_from,
 )
 from util import (all_words, enc, is_necklace, lyndon_prefix_length, match_state, naive_min_rotation,
                   necklace_reps, period, prenecklaces, rotations)
@@ -110,6 +111,18 @@ def test_duval_scan(k, nmax):
             assert p == lyndon_prefix_length(w), w
             assert (i == n) == (w in pre), w
             assert i == n or w[i] < w[i - p], w
+
+
+@pytest.mark.parametrize("k,nmax", [(1, 6), (2, 10), (3, 6), (4, 5)])
+def test_prenecklaces_from(k, nmax):
+    # the package's FKM walk from every prefix against the reference
+    # generator: the prenecklaces that begin with it, none for a prefix that
+    # is no prenecklace
+    for n in range(1, nmax + 1):
+        pre = list(prenecklaces(n, k))
+        for m in range(n + 1):
+            for u in all_words(m, k):
+                assert list(prenecklaces_from(u, n, k)) == [x for x in pre if x[0][:m] == u]
 
 
 def test_suffix_prefix_match():
