@@ -10,8 +10,12 @@ with smaller representative <= f twice in all.  So rb = (N + P + E) / 2 -
 
 Unranking searches, then walks.  A binary search per position, one rank
 per probe, narrows the block of representatives that begin with the prefix
-chosen so far; once that block holds at most WALK_BLOCK of them, the FKM
-prenecklace walk lists it.  The walk costs O(WALK_BLOCK * n) and saves the
+chosen so far; once that block holds at most WALK_BLOCK of them,
+words.bracelet_reps_from walks it: FKM prenecklace steps, keeping the
+necklaces that no rotation of their reversal undercuts.  Unrank counts the
+representatives as they come and keeps the (z - below)-th, so its memory
+does not grow with the block.  The walk costs O(n) per prenecklace, of
+which perfbench's blocks hold 1.4-5.2 per representative, and saves the
 probes of the last ~log_k(2 * n * WALK_BLOCK) positions, each a rank with
 its own joint DP.
 """
@@ -24,9 +28,9 @@ from functools import lru_cache
 from .bounding import SubwordTable
 from .enclosing import count_enclosing_upto
 from .errors import check
-from .necklace import count_necklaces, count_necklaces_upto
+from .necklace import closed_walk_counts, count_necklaces, count_necklaces_upto
 from .palindromic import count_palindromic_upto, total_palindromic
-from .words import (as_index, bracelet_representative, floor_necklace, min_rotation, prenecklaces_from,
+from .words import (as_index, bracelet_reps_from, bracelet_representative, floor_necklace, min_rotation,
                     validate_word)
 
 # Floors whose counts are kept, sized on perfbench's rank_small stream
@@ -60,9 +64,11 @@ class RankBreakdown:
 @lru_cache(maxsize=FLOOR_MEMO)
 def _counts_upto(f: tuple, k: int) -> tuple:
     """(N, P, E) up to the necklace f, memoised per (f, k): every word with
-    floor f shares them.  P and E run on f's table, built here."""
-    table = SubwordTable(f, k)
-    nc, pc, ec = count_necklaces_upto(f, k), count_palindromic_upto(table), count_enclosing_upto(table)
+    floor f shares them.  P and E run on f's table, and N and E on the
+    closed-walk counts A(f[:d]), each built here once."""
+    table, above = SubwordTable(f, k), closed_walk_counts(f, k)
+    nc, pc, ec = (count_necklaces_upto(f, k, above), count_palindromic_upto(table),
+                  count_enclosing_upto(table, above))
     check((nc + pc + ec) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} E={ec}")
     return nc, pc, ec
 
@@ -89,8 +95,8 @@ def unrank_bracelet(z: int, n: int, k: int) -> tuple:
     """The bracelet representative of rank z (0-based) among bracelets of
     length n.  The search keeps the ranks [below, upto) of the block of
     representatives that begin with its prefix, read off its own probes;
-    once upto - below <= WALK_BLOCK, the walk lists the block, which must
-    hold exactly that many, and the answer is its (z - below)-th."""
+    once upto - below <= WALK_BLOCK, the walk streams the block, which
+    must hold exactly that many, and the answer is its (z - below)-th."""
     z = as_index(z, "rank")
     total = count_bracelets(n, k)  # checks n and k
     n, k = as_index(n), as_index(k)
@@ -110,12 +116,13 @@ def unrank_bracelet(z: int, n: int, k: int) -> tuple:
                 hi = mid - 1
         prefix += (lo,)
         below, upto = ranks.get(lo, below), ranks.get(lo + 1, upto)
-    # the necklaces (p | n) no larger than their reversal's necklace
-    reps = [w for w, p in prenecklaces_from(prefix, n, k)
-            if n % p == 0 and w <= min_rotation(w[::-1])]
-    check(len(reps) == upto - below,
-          f"unrank({z}) walked {len(reps)} representatives where the ranks count {upto - below}")
-    answer = reps[z - below]
+    found, answer = 0, None
+    for w in bracelet_reps_from(prefix, n, k):
+        if found == z - below:
+            answer = w
+        found += 1
+    check(found == upto - below,
+          f"unrank({z}) walked {found} representatives where the ranks count {upto - below}")
     check(rank_bracelet(answer, k).rb == z, f"unrank({z}) re-ranks differently")
     check(bracelet_representative(answer) == answer, f"unrank({z}) is no bracelet representative")
     return answer

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .necklace import _rotation_dp, classes_of_length
+from .necklace import classes_of_length, closed_walk_counts
 from .words import floor_necklace, min_rotation, validate_word
 
 # Prefixes whose joint count J(p) is kept, as for api.FLOOR_MEMO.
@@ -140,21 +140,22 @@ def _joint(p: tuple, k: int) -> int:
     return _joint_count(cached_table(p, k))
 
 
-def _enclosing_word_count(table: SubwordTable, d: int) -> int:
+def _enclosing_word_count(table: SubwordTable, d: int, above: dict) -> int:
     """#{w in Sigma^d : min-rotation(w) <= p < min-rotation(w^R)}, p =
     f[:d] for the floor f = table.p: W(d) of the module docstring, as a
     word of length d lies on the same side of p as its power does of f,
-    and p^(n/d) <= f."""
+    and p^(n/d) <= f.  above = necklace.closed_walk_counts(f, k)."""
     p, k = table.p[:d], table.k
     joint = _joint_count(table) if d == table.n else _joint(p, k)
     # words whose reversal's rotations all exceed p (reversal is a
     # bijection), less those whose own rotations also all exceed p
-    return _rotation_dp(p, k) - joint
+    return above[d] - joint
 
 
-def count_enclosing_upto(table: SubwordTable) -> int:
-    """Bracelets [b] with <b> <= f < <reverse(b)>, f = table.p; unchecked."""
-    return classes_of_length(table.n, lambda d: _enclosing_word_count(table, d))
+def count_enclosing_upto(table: SubwordTable, above: dict) -> int:
+    """Bracelets [b] with <b> <= f < <reverse(b)>, f = table.p, from above =
+    necklace.closed_walk_counts(f, k); unchecked."""
+    return classes_of_length(table.n, lambda d: _enclosing_word_count(table, d, above))
 
 
 def rank_enclosing(v, k: int) -> int:
@@ -164,7 +165,8 @@ def rank_enclosing(v, k: int) -> int:
     its smaller representative, as no representative lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    return count_enclosing_upto(SubwordTable(f, k)) - (f == v and min_rotation(f[::-1]) > f)
+    above = closed_walk_counts(f, k)
+    return count_enclosing_upto(SubwordTable(f, k), above) - (f == v and min_rotation(f[::-1]) > f)
 
 
 # --- diagnostic suffix-state layers ----------------------------------------

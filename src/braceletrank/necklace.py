@@ -60,16 +60,6 @@ def _rotation_dp(p: tuple, k: int) -> int:
     return sum((r + 1) * c[r] * b[d - r - 1] for r in range(d) if c[r])
 
 
-def _count_min_rot_upto(p: tuple, k: int) -> int:
-    """#{w in Sigma^d : min-rotation(w) <= p}, p a prenecklace of length d.
-
-    For p = f[:d], f a necklace of length n and d | n, this is
-    #{w : min-rotation(w)^(n/d) <= f}: p^(n/d) <= f, and any other word of
-    length d lies on the same side of p as its power does of f.
-    """
-    return k ** len(p) - _rotation_dp(p, k)
-
-
 def mobius_quotient(e: int, term) -> int:
     """(1/e) * sum over d | e of mobius(e/d) * term(d): the classes of
     smallest period e among those whose words term(d) counts per length d.
@@ -100,9 +90,20 @@ def count_necklaces(n: int, k: int) -> int:
     return classes_of_length(n, lambda d: k ** d)
 
 
-def count_necklaces_upto(f, k: int) -> int:
-    """Necklace representatives <= f, a necklace representative; unchecked."""
-    return classes_of_length(len(f), lambda d: _count_min_rot_upto(f[:d], k))
+def closed_walk_counts(f, k: int) -> dict:
+    """{d: A(f[:d])} over the divisors d of |f|, f a necklace: the counts
+    above the prefixes that both the necklace and the enclosing counts up to
+    f read, computed once for both."""
+    return {d: _rotation_dp(f[:d], k) for d in divisors(len(f))}
+
+
+def count_necklaces_upto(f, k: int, above: dict) -> int:
+    """Necklace representatives <= f, a necklace representative, from
+    above = closed_walk_counts(f, k); unchecked.  The term of d | n counts
+    #{w in Sigma^d : min-rotation(w) <= p} = k^d - A(p), p = f[:d]: that
+    is #{w : min-rotation(w)^(n/d) <= f}, as p^(n/d) <= f and any other
+    word of length d lies on the same side of p as its power does of f."""
+    return classes_of_length(len(f), lambda d: k ** d - above[d])
 
 
 def rank_necklaces(v, k: int) -> int:
@@ -111,4 +112,4 @@ def rank_necklaces(v, k: int) -> int:
     none lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    return count_necklaces_upto(f, k) - (f == v)
+    return count_necklaces_upto(f, k, closed_walk_counts(f, k)) - (f == v)

@@ -137,28 +137,58 @@ def lyndon_prefix(w: Word) -> tuple:
     return p, i
 
 
-def prenecklaces_from(prefix: Word, n: int, k: int):
-    """(w, p) for each prenecklace w of length n over k symbols that begins
-    with prefix, in lexicographic order, p the length of w's longest Lyndon
-    prefix (w is a necklace when p | n).  The FKM walk (Fredricksen, Kessler
-    & Maiorana; Ruskey, Savage & Wang, J. Algorithms 13(3), 1992) from the
-    smallest, prefix repeated with its Lyndon period: raise the last symbol
-    below k-1 and repeat the word up to it, until that symbol is in prefix."""
+def at_most_reversal(w, runs) -> bool:
+    """True iff no rotation of reverse(w) is below w, for a necklace w with
+    runs[j] = 1 where w[j] == w[0], else 0: w is then its bracelet's
+    representative.  w[0] is w's least symbol and its leading run, r long,
+    its longest: a necklace other than a constant word neither ends in w[0]
+    nor has a longer run.  So a rotation of reverse(w) below w begins with
+    r copies of w[0]: it reads one of w's runs of that length backwards,
+    and only those rotations are compared.  A C-level search for the runs
+    and slice comparisons, for symbols of any size."""
+    n, r = len(w), runs.find(0)
+    if r < 0:
+        return True
+    run, rr = runs[:r], w[::-1] * 2
+    j = 0
+    while j >= 0:  # the run w[j:j + r] read backwards starts rr at n - j - r
+        if rr[n - j - r:2 * n - j - r] < w:
+            return False
+        j = runs.find(run, j + r + 1)
+    return True
+
+
+def bracelet_reps_from(prefix: Word, n: int, k: int):
+    """Each bracelet representative of length n over k symbols that begins
+    with prefix, in lexicographic order.  The FKM walk (Fredricksen, Kessler
+    & Maiorana; Ruskey, Savage & Wang, J. Algorithms 13(3), 1992) lists the
+    prenecklaces that begin with prefix, from the smallest, prefix repeated
+    with its Lyndon period: raise the last symbol below k-1 and repeat the
+    word up to it, until that symbol is in prefix.  The raised position ends
+    the longest Lyndon prefix, of length p, and the word is a necklace when
+    p | n; a necklace is yielded when at_most_reversal holds."""
     a = list(prefix) or [0]
     p, i = lyndon_prefix(a)
     if i < len(a):  # a prefix that is no prenecklace begins none
         return
     a = (a[:p] * (n // p + 1))[:n]  # a prenecklace repeats its Lyndon prefix
+    runs = bytearray(map(a[0].__eq__, a))
+    top, fixed = k - 1, len(prefix)
     while True:
-        yield tuple(a), p
+        if n % p == 0 and at_most_reversal(a, runs):
+            yield tuple(a)
         i = n - 1
-        while i >= 0 and a[i] == k - 1:
+        while i >= 0 and a[i] == top:
             i -= 1
-        if i < len(prefix):
+        if i < fixed:
             return
         a[i] += 1
         p = i + 1
         a[p:] = (a[:p] * (n // p))[:n - p]
+        # a raised a[0] makes a constant word; any other raised symbol
+        # leaves the least one
+        runs[i] = i == 0
+        runs[p:] = (runs[:p] * (n // p))[:n - p]
 
 
 def floor_necklace(w: Word, k: int) -> Word:

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import threading
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 
@@ -83,6 +84,13 @@ def test_golden_unranks():
         got = [unrank_bracelet(z + i, n, k) for i in range(3)]
         assert got == [enc(t) for t in texts]
         assert got[0] < got[1] < got[2]
+
+
+def test_unrank_beyond_one_byte():
+    # the walk's blocks over symbols up to 299, which do not fit in one byte
+    reps, rng = bracelet_reps(2, 300), random.Random(19)
+    for z in [0, len(reps) - 1] + [rng.randrange(len(reps)) for _ in range(20)]:
+        assert unrank_bracelet(z, 2, 300) == reps[z]
 
 
 def test_identity_on_representatives_small():
@@ -320,6 +328,22 @@ def test_retained_heap_is_bounded():
     held, rb = _bytes_left_by(lambda: rank_bracelet(word, 2).rb)
     assert rb == int(rec["rb"])
     assert held <= 2 ** 20, f"{held / 2 ** 20:.2f} MiB held"
+
+
+def test_walk_memory_is_bounded(monkeypatch):
+    # memory bounded whatever the block size: with all B(18, 2) = 7,685
+    # representatives in one block, the walk streams them (listed, the block
+    # alone peaked at 1.5 MiB)
+    total = count_bracelets(18, 2)
+    monkeypatch.setattr(api, "WALK_BLOCK", total)
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        unrank_bracelet(total // 2, 18, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, f"{peak / 1024:.0f} KiB peak"
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (5, 3)])

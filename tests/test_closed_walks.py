@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from braceletrank.bounding import SubwordTable
 from braceletrank.enclosing import _enclosing_word_count, _joint_count
-from braceletrank.necklace import _count_min_rot_upto, _rotation_dp
+from braceletrank.necklace import _rotation_dp, closed_walk_counts
 from braceletrank.words import floor_necklace
 from reference import joint_count_dp, rotation_count_dp
 from util import (all_words, is_necklace, is_prenecklace, naive_min_rotation, necklace_reps,
@@ -87,6 +87,6 @@ def test_divisor_terms_match_definition(k, nmax):
             powers = [(naive_min_rotation(w) * m, naive_min_rotation(w[::-1]) * m)
                       for w in all_words(d, k)]
             for f in necklace_reps(n, k):
-                table = SubwordTable(f, k)
-                assert _count_min_rot_upto(f[:d], k) == sum(a <= f for a, _ in powers), (f, d)
-                assert _enclosing_word_count(table, d) == sum(a <= f < b for a, b in powers), (f, d)
+                table, above = SubwordTable(f, k), closed_walk_counts(f, k)
+                assert k ** d - above[d] == sum(a <= f for a, _ in powers), (f, d)
+                assert _enclosing_word_count(table, d, above) == sum(a <= f < b for a, b in powers), (f, d)

@@ -86,13 +86,13 @@ OFF_BY_ONE = {
     "rank_parity": """
 import braceletrank.api as m
 real = m.count_enclosing_upto
-m.count_enclosing_upto = lambda table: real(table) + 1
+m.count_enclosing_upto = lambda table, above: real(table, above) + 1
 m.rank_bracelet((0, 1, 1, 0, 1), 2)
 """,
     "mobius_divisibility": """
 import braceletrank.necklace as m
-real = m._count_min_rot_upto
-m._count_min_rot_upto = lambda p, k: real(p, k) + (len(p) == 6)
+real = m._rotation_dp
+m._rotation_dp = lambda p, k: real(p, k) + (len(p) == 6)
 m.rank_necklaces((0, 1, 1, 0, 1, 1), 2)
 """,
     # the joint count of the full-length prefix alone: W(n) moves by one,
@@ -134,8 +134,9 @@ m.rank_bracelet = rank
 m.unrank_bracelet(5, 6, 2)
 """,
     # one too high: the re-rank fires here too, as the walk lists only
-    # representatives; the representative check behind it guards the walk's
-    # filter
+    # representatives; the representative check behind it re-checks the
+    # walk's filter, words.at_most_reversal, with bracelet_representative,
+    # which shares no code with it
     "unrank_representative": """
 import dataclasses
 import braceletrank.api as m
@@ -159,6 +160,14 @@ def rank(w, k):
 m.rank_bracelet = rank
 m.unrank_bracelet(5, 16, 2)
 """,
+    # the walk's filter lets every necklace through: all 13 bracelets of
+    # length 6 share one walked block, which then lists 14 necklaces
+    "unrank_walk_filter": """
+import braceletrank.api as api
+import braceletrank.words as m
+m.at_most_reversal = lambda w, runs: True
+api.unrank_bracelet(5, 6, 2)
+""",
     # every strict code's prepend successor made exact
     "prepend_rows": """
 from braceletrank.bounding import SubwordTable
@@ -172,7 +181,8 @@ m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 }
 # the message of the check that must fire, where another could fire first
 MESSAGES = {"prepend_rows": "a strictly bounded doubled word became a subword",
-            "unrank_walk": "representatives where the ranks count"}
+            "unrank_walk": "representatives where the ranks count",
+            "unrank_walk_filter": "walked 14 representatives where the ranks count 13"}
 
 
 @pytest.mark.parametrize("name", sorted(OFF_BY_ONE))

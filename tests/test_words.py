@@ -6,15 +6,16 @@ from braceletrank.bounding import SubwordTable
 from braceletrank.necklace import rank_necklaces
 from braceletrank.words import (
     Alphabet,
+    at_most_reversal,
+    bracelet_reps_from,
     bracelet_representative,
     floor_necklace,
     is_palindromic_necklace,
     lyndon_prefix,
     min_rotation,
-    prenecklaces_from,
 )
-from util import (all_words, enc, is_necklace, lyndon_prefix_length, match_state, naive_min_rotation,
-                  necklace_reps, period, prenecklaces, rotations)
+from util import (all_words, bracelet_reps, enc, is_necklace, lyndon_prefix_length, match_state,
+                  naive_min_rotation, necklace_reps, period, prenecklaces, rotations)
 
 
 def test_alphabet_roundtrip():
@@ -114,15 +115,40 @@ def test_duval_scan(k, nmax):
 
 
 @pytest.mark.parametrize("k,nmax", [(1, 6), (2, 10), (3, 6), (4, 5)])
-def test_prenecklaces_from(k, nmax):
-    # the package's FKM walk from every prefix against the reference
-    # generator: the prenecklaces that begin with it, none for a prefix that
-    # is no prenecklace
+def test_bracelet_reps_from(k, nmax):
+    # the package's FKM walk from every prefix against brute force: the
+    # bracelet representatives that begin with it, none for a prefix that no
+    # prenecklace begins with
     for n in range(1, nmax + 1):
-        pre = list(prenecklaces(n, k))
+        reps = bracelet_reps(n, k)
         for m in range(n + 1):
             for u in all_words(m, k):
-                assert list(prenecklaces_from(u, n, k)) == [x for x in pre if x[0][:m] == u]
+                assert list(bracelet_reps_from(u, n, k)) == [w for w in reps if w[:m] == u], u
+
+
+def _runs(w):
+    return bytes(x == w[0] for x in w)
+
+
+@pytest.mark.parametrize("k,nmax", [(2, 12), (3, 8), (4, 6)])
+def test_reversal_check_on_every_necklace(k, nmax):
+    for n in range(1, nmax + 1):
+        for w in necklace_reps(n, k):
+            assert at_most_reversal(w, _runs(w)) == (bracelet_representative(w) == w), w
+
+
+def test_reversal_check_beyond_one_byte():
+    # symbols up to 70,000, two to four per word, so runs and ties come up;
+    # every third word is a palindrome, and of the 827 apalindromic
+    # necklaces 414 are no representative
+    rng, k = random.Random(19), 70000
+    for i in range(2000):
+        alphabet = rng.sample(range(k), rng.randint(2, 4))
+        w = [rng.choice(alphabet) for _ in range(rng.randint(1, 16))]
+        if i % 3 == 0:
+            w += w[-2::-1] if i % 2 else w[::-1]
+        w = naive_min_rotation(tuple(w))
+        assert at_most_reversal(w, _runs(w)) == (bracelet_representative(w) == w), w
 
 
 def test_suffix_prefix_match():
