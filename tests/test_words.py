@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braceletrank import words
 from braceletrank.bounding import SubwordTable
 from braceletrank.necklace import rank_necklaces
 from braceletrank.words import (
@@ -112,6 +113,30 @@ def test_duval_scan(k, nmax):
             assert p == lyndon_prefix_length(w), w
             assert (i == n) == (w in pre), w
             assert i == n or w[i] < w[i - p], w
+
+
+@pytest.mark.parametrize("k,nmax", [(1, 6), (2, 10), (3, 6), (4, 5)])
+def test_prenecklaces_from(k, nmax, monkeypatch):
+    # the walk's FKM steps from every prefix, with the reversal check made to
+    # accept all: it sees each necklace among the reference generator's
+    # prenecklaces that begin with the prefix, in order, each with the run
+    # mask the walk carries along, and none for a prefix that is no
+    # prenecklace
+    seen = []
+
+    def accept(w, runs):
+        seen.append((tuple(w), bytes(runs)))
+        return True
+
+    monkeypatch.setattr(words, "at_most_reversal", accept)
+    for n in range(1, nmax + 1):
+        necklaces = [w for w, p in prenecklaces(n, k) if n % p == 0]
+        for m in range(n + 1):
+            for u in all_words(m, k):
+                seen.clear()
+                want = [w for w in necklaces if w[:m] == u]
+                assert list(bracelet_reps_from(u, n, k)) == want, u
+                assert seen == [(w, _runs(w)) for w in want], u
 
 
 @pytest.mark.parametrize("k,nmax", [(1, 6), (2, 10), (3, 6), (4, 5)])
