@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounding import SubwordTable
-from .enclosing import count_enclosing_upto
+from .enclosing import count_union_upto
 from .errors import check
-from .necklace import closed_walk_counts, count_necklaces, count_necklaces_upto
+from .necklace import count_necklaces, count_necklaces_upto
 from .palindromic import count_palindromic_upto, total_palindromic
 from .words import (as_index, bracelet_reps_from, bracelet_representative, floor_necklace, min_rotation,
                     validate_word)
@@ -64,13 +64,12 @@ class RankBreakdown:
 @lru_cache(maxsize=FLOOR_MEMO)
 def _counts_upto(f: tuple, k: int) -> tuple:
     """(N, P, E) up to the necklace f, memoised per (f, k): every word with
-    floor f shares them.  P and E run on f's table, and N and E on the
-    closed-walk counts A(f[:d]), each built here once."""
-    table, above = SubwordTable(f, k), closed_walk_counts(f, k)
-    nc, pc, ec = (count_necklaces_upto(f, k, above), count_palindromic_upto(table),
-                  count_enclosing_upto(table, above))
-    check((nc + pc + ec) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} E={ec}")
-    return nc, pc, ec
+    floor f shares them.  P and U, the necklace classes c with <c> <= f or
+    <reverse(c)> <= f, run on f's table, built here once; E = U - N."""
+    table = SubwordTable(f, k)
+    nc, pc, uc = count_necklaces_upto(f, k), count_palindromic_upto(table), count_union_upto(table)
+    check((uc + pc) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} U={uc}")
+    return nc, pc, uc - nc
 
 
 def rank_bracelet(word, k: int) -> RankBreakdown:

@@ -4,18 +4,21 @@ A bracelet encloses v when its two necklace representatives straddle v
 strictly: <b> < v < <reverse(b)>.  No representative lies in (f, v], f the
 floor of v (the largest necklace representative <= v), so the bracelets
 enclosing v are those with <b> <= f < <reverse(b)>, less the bracelet of f
-itself when f = v and f is its smaller representative.  Writing the smaller
-representative as a Lyndon power c^(n/P) decomposes the count up to f over
-divisors P | n; Mobius inversion turns each term into word counts
+itself when f = v and f is its smaller representative.  Reversal maps the
+smaller classes of those bracelets one-to-one onto the necklace classes c
+with <c> > f >= <reverse(c)>, so they number U - N: U the classes with
+<c> <= f or <reverse(c)> <= f, and N those with <c> <= f (the necklace
+module's count).  Writing <c> as a Lyndon power decomposes U over the
+periods P | n; Mobius inversion turns each term into word counts
 
-    W(d) = #{ w in Sigma^d : min-rotation(w)^(n/d) <= f
-                             < min-rotation(w^R)^(n/d) }
+    U(d) = #{ w in Sigma^d : min-rotation(w)^(n/d) <= f
+                             or min-rotation(w^R)^(n/d) <= f }
 
-which reduce to counts against the prenecklace p = f[:d]: the necklace
-module's closed-walk count less a joint DP that walks the word's blocks on
-p's SubwordTable while it tracks its reversal's bound code.  At d = n that
-is the floor's table, passed down; a proper prefix's table is built only
-when its memoised joint count misses.
+which are k^d less J(p), the words whose rotations and whose reversal's
+all lie above the prenecklace p = f[:d]: a joint DP that walks the word's
+blocks on p's SubwordTable while it tracks its reversal's bound code.  At
+d = n that is the floor's table, passed down; a proper prefix's table is
+built only when its memoised joint count misses.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from functools import lru_cache
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
-from .necklace import classes_of_length, closed_walk_counts
-from .words import floor_necklace, min_rotation, validate_word
+from .necklace import classes_of_length, count_necklaces_upto
+from .words import floor_necklace, lyndon_prefix, min_rotation, validate_word
 
 # Prefixes whose joint count J(p) is kept, as for api.FLOOR_MEMO.
 JOINT_MEMO = 4096
@@ -58,7 +61,7 @@ def _joint_count(table: SubwordTable) -> int:
     raised to it.  A reverse code then maps with two lookups.
     """
     d, k, p = table.n, table.k, table.p
-    check(table.thresh[:d] == list(p), "the pattern is not a prenecklace")
+    check(lyndon_prefix(p)[1] == d, "the pattern is not a prenecklace")
     p0 = p[0]
     width, chain = table.width, table.chain
     states = {0: {1: 1}}
@@ -140,22 +143,13 @@ def _joint(p: tuple, k: int) -> int:
     return _joint_count(cached_table(p, k))
 
 
-def _enclosing_word_count(table: SubwordTable, d: int, above: dict) -> int:
-    """#{w in Sigma^d : min-rotation(w) <= p < min-rotation(w^R)}, p =
-    f[:d] for the floor f = table.p: W(d) of the module docstring, as a
-    word of length d lies on the same side of p as its power does of f,
-    and p^(n/d) <= f.  above = necklace.closed_walk_counts(f, k)."""
-    p, k = table.p[:d], table.k
-    joint = _joint_count(table) if d == table.n else _joint(p, k)
-    # words whose reversal's rotations all exceed p (reversal is a
-    # bijection), less those whose own rotations also all exceed p
-    return above[d] - joint
-
-
-def count_enclosing_upto(table: SubwordTable, above: dict) -> int:
-    """Bracelets [b] with <b> <= f < <reverse(b)>, f = table.p, from above =
-    necklace.closed_walk_counts(f, k); unchecked."""
-    return classes_of_length(table.n, lambda d: _enclosing_word_count(table, d, above))
+def count_union_upto(table: SubwordTable) -> int:
+    """Necklace classes c with <c> <= f or <reverse(c)> <= f, f = table.p;
+    unchecked.  The term of d | n is U(d) of the module docstring: all k^d
+    words but J(p), p = f[:d], as a word of length d lies on the same side
+    of p as its power does of f, and p^(n/d) <= f."""
+    f, k, n = table.p, table.k, table.n
+    return classes_of_length(n, lambda d: k ** d - (_joint_count(table) if d == n else _joint(f[:d], k)))
 
 
 def rank_enclosing(v, k: int) -> int:
@@ -165,8 +159,8 @@ def rank_enclosing(v, k: int) -> int:
     its smaller representative, as no representative lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    above = closed_walk_counts(f, k)
-    return count_enclosing_upto(SubwordTable(f, k), above) - (f == v and min_rotation(f[::-1]) > f)
+    return (count_union_upto(SubwordTable(f, k)) - count_necklaces_upto(f, k)
+            - (f == v and min_rotation(f[::-1]) > f))
 
 
 # --- diagnostic suffix-state layers ----------------------------------------

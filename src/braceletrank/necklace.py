@@ -6,9 +6,9 @@ representative lies in (f, v].  Necklace representatives of length n are
 exactly the powers c^(n/e) of Lyndon words c with e | n, so the count up to
 f decomposes over divisors and the per-divisor terms reduce, by Mobius
 inversion, to counts of words all of whose rotations lie above the prefix
-p = f[:d], a prenecklace (a prefix of a necklace).  That last count, shared
-with the enclosing-bracelet module, counts closed walks on p's matching
-automaton, along which the symbols of p are the forced ones.
+p = f[:d], a prenecklace (a prefix of a necklace).  That last count
+counts closed walks on p's matching automaton, along which the symbols of p
+are the forced ones.
 """
 
 from __future__ import annotations
@@ -90,20 +90,13 @@ def count_necklaces(n: int, k: int) -> int:
     return classes_of_length(n, lambda d: k ** d)
 
 
-def closed_walk_counts(f, k: int) -> dict:
-    """{d: A(f[:d])} over the divisors d of |f|, f a necklace: the counts
-    above the prefixes that both the necklace and the enclosing counts up to
-    f read, computed once for both."""
-    return {d: _rotation_dp(f[:d], k) for d in divisors(len(f))}
-
-
-def count_necklaces_upto(f, k: int, above: dict) -> int:
-    """Necklace representatives <= f, a necklace representative, from
-    above = closed_walk_counts(f, k); unchecked.  The term of d | n counts
-    #{w in Sigma^d : min-rotation(w) <= p} = k^d - A(p), p = f[:d]: that
-    is #{w : min-rotation(w)^(n/d) <= f}, as p^(n/d) <= f and any other
-    word of length d lies on the same side of p as its power does of f."""
-    return classes_of_length(len(f), lambda d: k ** d - above[d])
+def count_necklaces_upto(f, k: int) -> int:
+    """Necklace representatives <= f, a necklace representative; unchecked.
+    The term of d | n counts #{w in Sigma^d : min-rotation(w) <= p} =
+    k^d - A(p), p = f[:d]: that is #{w : min-rotation(w)^(n/d) <= f}, as
+    p^(n/d) <= f and any other word of length d lies on the same side of p
+    as its power does of f."""
+    return classes_of_length(len(f), lambda d: k ** d - _rotation_dp(f[:d], k))
 
 
 def rank_necklaces(v, k: int) -> int:
@@ -112,4 +105,4 @@ def rank_necklaces(v, k: int) -> int:
     none lies in (f, v]."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    return count_necklaces_upto(f, k, closed_walk_counts(f, k)) - (f == v)
+    return count_necklaces_upto(f, k) - (f == v)

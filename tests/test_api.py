@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import braceletrank
-from braceletrank import api, words
+from braceletrank import api, enclosing, necklace, words
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from braceletrank.oracle import oracle_rank
 from util import bracelet_reps, enc, is_necklace, naive_min_rotation
@@ -125,9 +125,12 @@ def test_mirror_adjust_boundary_case():
 
 # one rank checks and floors its word once, and reverses only a word that
 # is its own floor: a non-necklace word, the smaller and the larger
-# representative of an apalindromic bracelet, and a palindromic necklace
+# representative of an apalindromic bracelet, and a palindromic necklace.
+# On cold memos it computes A(f[:d]) once per divisor d of n.
 @pytest.mark.parametrize("text,k", [("cab", 3), ("abc", 3), ("acb", 3), ("aabb", 2)])
 def test_rank_checks_and_floors_once(text, k, monkeypatch):
+    api._counts_upto.cache_clear()
+    enclosing._joint.cache_clear()
     calls = Counter()
 
     def counted(name, fn):
@@ -144,9 +147,11 @@ def test_rank_checks_and_floors_once(text, k, monkeypatch):
             for key, val in list(vars(m).items()):
                 if val is original:
                     monkeypatch.setattr(m, key, wrapper)
+    monkeypatch.setattr(necklace, "_rotation_dp", counted("_rotation_dp", necklace._rotation_dp))
     bd = rank_bracelet(enc(text), k)
     assert bd.rb == bisect_left(bracelet_reps(len(text), k), enc(text))
     assert calls["validate_word"] == calls["floor_necklace"] == 1
+    assert calls["_rotation_dp"] == len(necklace.divisors(len(text)))
     assert calls["min_rotation"] == (1 if is_necklace(enc(text)) else 0)
 
 

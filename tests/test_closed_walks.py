@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braceletrank.bounding import SubwordTable
-from braceletrank.enclosing import _enclosing_word_count, _joint_count
-from braceletrank.necklace import _rotation_dp, closed_walk_counts
+from braceletrank.enclosing import _joint_count
+from braceletrank.necklace import _rotation_dp
 from braceletrank.words import floor_necklace
 from reference import joint_count_dp, rotation_count_dp
 from util import (all_words, is_necklace, is_prenecklace, naive_min_rotation, necklace_reps,
@@ -80,13 +80,14 @@ def test_joint_count_on_random_prenecklaces(drawn):
 def test_divisor_terms_match_definition(k, nmax):
     # for every necklace f and d | n = |f|, the terms of p = f[:d] count the
     # words w of length d by the powers of their class minima: those up to
-    # f, and those whose reversal's lies above f
+    # f, and those whose own or whose reversal's is up to f
     for n in range(1, nmax + 1):
         for d in (d for d in range(1, n + 1) if n % d == 0):
             m = n // d
             powers = [(naive_min_rotation(w) * m, naive_min_rotation(w[::-1]) * m)
                       for w in all_words(d, k)]
             for f in necklace_reps(n, k):
-                table, above = SubwordTable(f, k), closed_walk_counts(f, k)
-                assert k ** d - above[d] == sum(a <= f for a, _ in powers), (f, d)
-                assert _enclosing_word_count(table, d, above) == sum(a <= f < b for a, b in powers), (f, d)
+                p = f[:d]
+                assert k ** d - _rotation_dp(p, k) == sum(a <= f for a, _ in powers), (f, d)
+                union = sum(a <= f or b <= f for a, b in powers)
+                assert k ** d - _joint_count(SubwordTable(p, k)) == union, (f, d)

@@ -85,8 +85,8 @@ def test_rejects_nonpositive_length(fn, call):
 OFF_BY_ONE = {
     "rank_parity": """
 import braceletrank.api as m
-real = m.count_enclosing_upto
-m.count_enclosing_upto = lambda table, above: real(table, above) + 1
+real = m.count_union_upto
+m.count_union_upto = lambda table: real(table) + 1
 m.rank_bracelet((0, 1, 1, 0, 1), 2)
 """,
     "mobius_divisibility": """
@@ -95,7 +95,7 @@ real = m._rotation_dp
 m._rotation_dp = lambda p, k: real(p, k) + (len(p) == 6)
 m.rank_necklaces((0, 1, 1, 0, 1, 1), 2)
 """,
-    # the joint count of the full-length prefix alone: W(n) moves by one,
+    # the joint count of the full-length prefix alone: U(n) moves by one,
     # which the divisor sum of e = n no longer divides
     "joint_count": """
 import braceletrank.enclosing as m
@@ -180,7 +180,9 @@ m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 """,
 }
 # the message of the check that must fire, where another could fire first
+# or where it matters which one does
 MESSAGES = {"prepend_rows": "a strictly bounded doubled word became a subword",
+            "rank_parity": "counts up to the floor out of parity",
             "unrank_walk": "representatives where the ranks count",
             "unrank_walk_filter": "walked 14 representatives where the ranks count 13"}
 
