@@ -52,7 +52,10 @@ class _Subwords:
 
 
 class SubwordTable:
-    """Subword order of a pattern plus its matching automaton.
+    """Subword order of a pattern, its successor rows and its border chains.
+
+    The counts walk prenecklace patterns, whose matching automaton is p
+    itself (necklace._rotation_dp), so the table keeps none.
 
     Attributes:
         p: the pattern word (tuple of symbol indices)
@@ -63,13 +66,12 @@ class SubwordTable:
             grp[l][n] = S_l
         first[l][g]: first order position of group g, first[l][S_l] = n
         sub[l]: S(p, l) as a sequence view (item g is a tuple), for l >= 1
-        pos_id[l][start]: index in S(p, l) of the subword starting at start
-        prefix_id[l]: index of p[:l] in S(p, l)
+        pos_id[l][start]: index in S(p, l) of the subword starting at start,
+            so p[:l] is subword pos_id[l][0]
         below[x]: number of rotations starting with a symbol below x
         tail[x]: sorted order positions of rotation j+1 over j with p[j] = x
-        delta[j][x]: longest-suffix-matching-prefix automaton of p
-        fail, chain, thresh: failure links, border chains, and the minimal
-            next symbol that avoids creating a suffix below a prefix of p
+        chain[j]: the borders b >= 1 of p[:j] (its suffixes that are
+            prefixes of p), longest first, from j itself
         size[l], width[l]: S_l and the number of codes (2*S_l + 1) at length
             l; at l = 0 the empty word is the one group, spanning every
             order position
@@ -116,33 +118,12 @@ class SubwordTable:
                 pos, starts = [grp[r] for r in rank], [order[r] for r in first[:-1]]
             self.grp[l], self.first[l], self.pos_id[l] = grp, first, pos
             self.sub[l], self.size[l] = _Subwords(ext, starts, l), len(starts)
-        self.prefix_id = [pos[0] for pos in self.pos_id]
         self.below = [sum(y < x for y in p) for x in range(k)]
         # rotation j is p[j] followed by rotation j+1
         self.tail = [sorted(rank[(j + 1) % n] for j in range(n) if p[j] == x) for x in range(k)]
-        self.fail = _failure(p)
-        self.delta = [[0] * k for _ in range(n + 1)]
-        for j in range(n + 1):
-            for x in range(k):
-                if j < n and x == p[j]:
-                    self.delta[j][x] = j + 1
-                elif j == 0:
-                    self.delta[j][x] = 0
-                else:
-                    self.delta[j][x] = self.delta[self.fail[j]][x]
-        self.chain = [[] for _ in range(n + 1)]
+        fail, self.chain = _failure(p), [[]]
         for j in range(1, n + 1):
-            c, jj = [], j
-            while jj:
-                c.append(jj)
-                jj = self.fail[jj]
-            self.chain[j] = c
-        # thresh[j]: appending any x >= thresh[j] keeps every suffix of the
-        # grown word at least the p-prefix of its length
-        self.thresh = [p[0]] * (n + 1)
-        for j in range(1, n + 1):
-            t = self.thresh[self.fail[j]]
-            self.thresh[j] = max(t, p[j]) if j < n else t
+            self.chain.append([j] + self.chain[fail[j]])
         self.width = [2 * s + 1 for s in self.size]
         self._app_cache, self._pre_cache = {}, {}
 
@@ -195,14 +176,6 @@ class SubwordTable:
             self._pre_cache[l] = rows
         return rows
 
-    def append_code(self, l: int, code: int, x: int) -> int:
-        """Code of w.x at length l+1, given the code of w at length l."""
-        return self.append_rows(l)[x][code]
-
-    def prepend_code(self, l: int, code: int, x: int) -> int:
-        """Code of x.w at length l+1, given the code of w at length l."""
-        return self.prepend_rows(l)[x][code]
-
     def wrap_ok(self, j: int, code: int) -> bool:
         """Whether the wrapped rotations of a finished word of length n all
         lie above p: at each border m of the final match state j, the
@@ -220,14 +193,14 @@ def cached_table(p: tuple, k: int) -> SubwordTable:
     return SubwordTable(p, k)
 
 
-def _strict_rows(table: SubwordTable, step) -> dict:
-    # (l, s, x) -> strict bound index after step(l, code, x), None for
+def _strict_rows(table: SubwordTable, rows) -> dict:
+    # (l, s, x) -> strict bound index after rows(l)[x][code], None for
     # bottom; from a strict code no step lands on an exact code
     out = {}
     for l in range(1, table.n):
         for s in [None] + list(range(len(table.sub[l]))):
             for x in range(table.k):
-                b = step(l, 0 if s is None else 2 * s + 2, x) >> 1
+                b = rows(l)[x][0 if s is None else 2 * s + 2] >> 1
                 out[(l, s, x)] = b - 1 if b else None
     return out
 
@@ -236,12 +209,12 @@ def build_XW(table: SubwordTable) -> dict:
     """Prepend transitions (l, s, x) -> bound index at length l+1: for every
     word w strictly bounded by subword s at length l, XW[(l, s, x)] strictly
     bounds x.w.  s = None is the bottom row; value None is bottom."""
-    return _strict_rows(table, table.prepend_code)
+    return _strict_rows(table, table.prepend_rows)
 
 
 def build_WX(table: SubwordTable) -> dict:
     """Append transitions, as build_XW for w.x (independent of x)."""
-    return _strict_rows(table, table.append_code)
+    return _strict_rows(table, table.append_rows)
 
 
 def dump_tables(table: SubwordTable, alphabet=None) -> list:

@@ -29,7 +29,7 @@ from functools import lru_cache
 from .bounding import SubwordTable, cached_table
 from .errors import check
 from .necklace import classes_of_length, count_necklaces_upto
-from .words import floor_necklace, lyndon_prefix, min_rotation, validate_word
+from .words import _failure, floor_necklace, lyndon_prefix, min_rotation, validate_word
 
 # Prefixes whose joint count J(p) is kept, as for api.FLOOR_MEMO.
 JOINT_MEMO = 4096
@@ -178,12 +178,20 @@ def build_SE(v, k: int) -> dict:
     """
     n = len(v)
     table = SubwordTable(tuple(v), k)
+    # v need not be a prenecklace: from match state j, thresh[j] is the least
+    # symbol keeping every suffix at or above the v-prefix of its length,
+    # and it leads to adv[j]; every larger symbol resets the match
+    fail, thresh, adv = _failure(v), [v[0]], [1]
+    for j in range(1, n - 1):
+        t = thresh[fail[j]]
+        thresh.append(max(t, v[j]))
+        adv.append(j + 1 if v[j] >= t else adv[fail[j]])
     states, out = {(0, 1): 1}, {}  # {(match state, bound code): count}
     for t in range(n - 1):
-        nxt = {}
+        nxt, app = {}, table.append_rows(t)
         for (j, b), c in states.items():
-            for x in range(table.thresh[j], k):
-                code, j2 = table.append_code(t, b, x), table.delta[j][x]
+            for x in range(thresh[j], k):
+                code, j2 = app[x][b], adv[j] if x == thresh[j] else 0
                 check(code != 0, "an SE layer state fell to the bottom")
                 s = ("exact", code >> 1) if code & 1 else ("strict", (code >> 1) - 1)
                 key = (x, n - t - 1, j2, s)

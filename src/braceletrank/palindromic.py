@@ -36,26 +36,26 @@ from __future__ import annotations
 
 from .bounding import SubwordTable
 from .errors import InternalError, check
-from .words import alphabet_size, as_index, floor_necklace, min_rotation, validate_word
+from .words import alphabet_size, as_index, floor_necklace, lyndon_prefix, min_rotation, validate_word
 
 
 def _step(table, states, dl):
     """Grow doubled words by one symbol on each side, from length dl to
     l = dl + 2: reverse(u).u for even dl, reverse(phi).x.phi for odd dl.
     Words that fell below v[:l] are dropped; a word equal to v[:l] matches
-    all of it, which growth at the back cannot see."""
-    nxt, k, l = {}, table.k, dl + 2
-    delta, thresh, get = table.delta, table.thresh, nxt.get
-    app, pre = table.append_rows(dl), table.prepend_rows(dl + 1)
-    prefix = 2 * table.prefix_id[l] + 1
+    all of it, which growth at the back cannot see.  Below that, v[j]
+    advances the match j and larger symbols reset it (SubwordTable)."""
+    nxt, k, l, p = {}, table.k, dl + 2, table.p
+    app, pre, get = table.append_rows(dl), table.prepend_rows(dl + 1), nxt.get
+    prefix = 2 * table.pos_id[l][0] + 1
     for (j, code), c in states.items():
-        dj = delta[j]
-        for x in range(thresh[j], k):
+        pj = p[j]
+        for x in range(pj, k):
             st = pre[x][app[x][code]]
             if st & 1 and not code & 1:
                 raise InternalError("a strictly bounded doubled word became a subword")
             if st >= prefix:
-                key = (l if st == prefix else dj[x], st)
+                key = (l if st == prefix else j + 1 if x == pj else 0, st)
                 nxt[key] = get(key, 0) + c
     return nxt
 
@@ -64,6 +64,7 @@ def _layers(table, final_len, sink=None):
     """States {(j, code): count} of the doubled words of length final_len:
     grown from the empty word reverse(u).u when final_len is even, from the
     middle symbol of reverse(phi).x.phi when odd; sink sees every layer."""
+    check(lyndon_prefix(table.p)[1] == table.n, "the pattern is not a prenecklace")
     states, dl = {(0, 1): 1}, final_len % 2
     if dl:
         states = _append_one(table, states, 0)
@@ -83,15 +84,14 @@ def _append_one(table, states, l):
     l = n-1 the words reverse(u).u.x and reverse(phi).x.phi.y, rotations of
     phi.x.reverse(phi) and x.phi.y.reverse(phi).  Words are dropped and
     matched as in _step."""
-    nxt, k = {}, table.k
-    delta, thresh, get = table.delta, table.thresh, nxt.get
-    app, prefix = table.append_rows(l), 2 * table.prefix_id[l + 1] + 1
+    nxt, k, p = {}, table.k, table.p
+    app, prefix, get = table.append_rows(l), 2 * table.pos_id[l + 1][0] + 1, nxt.get
     for (j, code), c in states.items():
-        dj = delta[j]
-        for x in range(thresh[j], k):
+        pj = p[j]
+        for x in range(pj, k):
             st = app[x][code]
             if st >= prefix:
-                key = (l + 1 if st == prefix else dj[x], st)
+                key = (l + 1 if st == prefix else j + 1 if x == pj else 0, st)
                 nxt[key] = get(key, 0) + c
     return nxt
 

@@ -233,18 +233,33 @@ def gs(v, k: int) -> int:
 
 # --- the DPs over bound codes that the closed-walk counts replaced ---------
 
+def _automaton(p, k: int):
+    """(thresh, delta) of any pattern p, by slicing.  delta[j][x] is the
+    longest suffix of p[:j].x that is a prefix of p.  thresh[j] is the least
+    symbol x that keeps every suffix of a word with match state j at or
+    above the p-prefix of its length: x >= p[b] at each border b < |p| of
+    p[:j], the empty one included."""
+    n = len(p)
+    thresh = [max(p[b] for b in range(min(j, n - 1) + 1) if p[j - b:j] == p[:b])
+              for j in range(n + 1)]
+    delta = [[max(m for m in range(min(j + 1, n) + 1) if (p[:j] + (x,))[j + 1 - m:] == p[:m])
+              for x in range(k)] for j in range(n + 1)]
+    return thresh, delta
+
+
 def _rotation_layers(table: SubwordTable):
     """Yield, after each symbol t = 1..|p|, the distribution
     {match state: {bound code: count}} of all words w of length t whose
     every suffix is >= the same-length prefix of p."""
     states = {0: {1: 1}}
+    thresh, delta = _automaton(table.p, table.k)
     for t in range(table.n):
-        nxt = {}
+        nxt, app = {}, table.append_rows(t)
         for j, row in states.items():
-            for x in range(table.thresh[j], table.k):
-                tgt = nxt.setdefault(table.delta[j][x], {})
+            for x in range(thresh[j], table.k):
+                tgt = nxt.setdefault(delta[j][x], {})
                 for b, c in row.items():
-                    r = table.append_code(t, b, x)
+                    r = app[x][b]
                     tgt[r] = tgt.get(r, 0) + c
         states = nxt
         yield states
@@ -288,8 +303,9 @@ def joint_count_dp(table: SubwordTable) -> int:
     """
     d, k = table.n, table.k
     p0 = table.p[0]
-    delta, width, chain = table.delta, table.width, table.chain
-    lo = [max(x, p0) for x in table.thresh]
+    width, chain = table.width, table.chain
+    thresh, delta = _automaton(table.p, k)
+    lo = [max(x, p0) for x in thresh]
     states = {0: {1: {1: 1}}}
     for t in range(d):
         l = t + 1
@@ -307,13 +323,13 @@ def joint_count_dp(table: SubwordTable) -> int:
             return canon[c]
 
         opener = 2 * table.pos_id[t][1 % d] + 1  # p[1:l], the empty word at t = 0
-        nxt = {}
+        nxt, app, pre = {}, table.append_rows(t), table.prepend_rows(t)
         for j, fwd in states.items():
             for x in range(lo[j], k):
                 j2 = delta[j][x]
                 row = nxt.setdefault(j2, {})
                 for bf, rev in fwd.items():
-                    b2 = canonical(table.append_code(t, bf, x), j2)
+                    b2 = canonical(app[x][bf], j2)
                     tgt = row.setdefault(b2, {})
                     for rc, c in rev.items():
                         lm, br = divmod(rc, w_cur)
@@ -322,7 +338,7 @@ def joint_count_dp(table: SubwordTable) -> int:
                                 continue
                             if br == opener:
                                 lm = l
-                        nrc = lm * w_next + canonical(table.prepend_code(t, br, x), lm)
+                        nrc = lm * w_next + canonical(pre[x][br], lm)
                         tgt[nrc] = tgt.get(nrc, 0) + c
         states = nxt
     return sum(c for j, fwd in states.items() for bf, rev in fwd.items()

@@ -5,7 +5,7 @@ import pytest
 from braceletrank.bounding import SubwordTable, build_WX, build_XW, dump_tables
 from braceletrank.words import Alphabet
 from reference import bound_of, code_of
-from util import all_words, enc, match_state, naive_min_rotation, period
+from util import all_words, enc, is_prenecklace, match_state, naive_min_rotation, period
 
 
 def test_subword_lists_examples():
@@ -91,8 +91,8 @@ def test_exact_state_transitions_match_values():
                 for i, val in enumerate(t.sub[l]):
                     exact = 2 * i + 1
                     for x in range(2):
-                        assert t.append_code(l, exact, x) == code_of(val + (x,), t)
-                        assert t.prepend_code(l, exact, x) == code_of((x,) + val, t)
+                        assert t.append_rows(l)[x][exact] == code_of(val + (x,), t)
+                        assert t.prepend_rows(l)[x][exact] == code_of((x,) + val, t)
 
 
 def test_prepend_from_bottom():
@@ -104,11 +104,11 @@ def test_prepend_from_bottom():
         assert bound_of(low, t, strict=True) is None
         for x in range(4):
             want = bound_of((x,) + low, t, strict=True)
-            got = t.prepend_code(l, 0, x)  # code 0: bottom
+            got = t.prepend_rows(l)[x][0]  # code 0: bottom
             assert (want is None) == (got == 0)
             if want is not None:
                 assert got == 2 * want + 2  # strict, not exact
-        assert t.append_code(l, 0, 0) == 0
+        assert t.append_rows(l)[0][0] == 0
 
 
 @pytest.mark.parametrize("k,nmax", [(2, 6), (3, 4)])
@@ -124,8 +124,8 @@ def test_codes_follow_word_order(k, nmax):
                 assert codes == sorted(codes), (v, l)
                 for w, code in zip(all_words(l, k), codes):
                     for x in range(k):
-                        assert t.append_code(l, code, x) == code_of(w + (x,), t), (v, w, x)
-                        assert t.prepend_code(l, code, x) == code_of((x,) + w, t), (v, w, x)
+                        assert t.append_rows(l)[x][code] == code_of(w + (x,), t), (v, w, x)
+                        assert t.prepend_rows(l)[x][code] == code_of((x,) + w, t), (v, w, x)
 
 
 def test_dump_tables_shape():
@@ -146,19 +146,23 @@ def _small_patterns():
 
 
 def test_thresh_and_class_size_match_definitions():
-    # thresh[j] is the least symbol that keeps every suffix of a word with
-    # match state j at or above the same-length prefix of p
+    # on a prenecklace p, the walks' automaton is p itself: the least
+    # symbol that keeps every suffix of a word with match state j < |p| at
+    # or above the same-length prefix of p is p[j], which advances the
+    # match to j + 1, and every larger symbol resets it to 0
     for p, k in _small_patterns():
-        t = SubwordTable(p, k)
+        if not is_prenecklace(p):
+            continue
         layer = [()]  # the words of one length with the property
         for _ in range(len(p)):
             grown = []
             for w in layer:
-                j = match_state(t, w)
+                j = match_state(p, w)
                 for x in range(k):
                     ok = _suffixes_geq_prefixes(w + (x,), p)
-                    assert ok == (x >= t.thresh[j]), (p, w, x)
+                    assert ok == (x >= p[j]), (p, w, x)
                     if ok:
+                        assert match_state(p, w + (x,)) == (j + 1 if x == p[j] else 0), (p, w, x)
                         grown.append(w + (x,))
             layer = grown
     # the class size read off the sorted rotations (the distinct rotations

@@ -114,6 +114,11 @@ from braceletrank.bounding import SubwordTable
 from braceletrank.enclosing import _joint_count
 _joint_count(SubwordTable((1, 0), 2))
 """,
+    "prenecklace_palindromic": """
+from braceletrank.bounding import SubwordTable
+from braceletrank.palindromic import size_PS
+size_PS(SubwordTable((1, 0), 2))
+""",
     "palindromic_parity": """
 import braceletrank.palindromic as m
 real = m.size_PS
@@ -182,6 +187,7 @@ m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 # the message of the check that must fire, where another could fire first
 # or where it matters which one does
 MESSAGES = {"prepend_rows": "a strictly bounded doubled word became a subword",
+            "prenecklace_palindromic": "the pattern is not a prenecklace",
             "rank_parity": "counts up to the floor out of parity",
             "unrank_walk": "representatives where the ranks count",
             "unrank_walk_filter": "walked 14 representatives where the ranks count 13"}

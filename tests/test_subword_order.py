@@ -59,7 +59,6 @@ def _assert_same(p, k):
     for l in range(t.n + 1):
         assert l == 0 or list(t.sub[l]) == ref.sub[l], (p, l)
         assert t.pos_id[l] == ref.pos_id[l], (p, l)
-        assert t.prefix_id[l] == ref.pos_id[l][0], (p, l)
     for l in range(t.n):
         app, pre = t.append_rows(l), t.prepend_rows(l)
         assert len(app) == len(pre) == k, (p, l)

@@ -176,18 +176,28 @@ def test_reversal_check_beyond_one_byte():
         assert at_most_reversal(w, _runs(w)) == (bracelet_representative(w) == w), w
 
 
+def _chain_match(table, w):
+    """The match state after reading w, stepping along the table's border
+    chains: from state j, the longest border b of p[:j] (or 0) with
+    p[b] == x grows to b + 1, and none resets to 0."""
+    p, j = table.p, 0
+    for x in w:
+        j = next((b + 1 for b in table.chain[j] + [0] if b < table.n and p[b] == x), 0)
+    return j
+
+
 def test_suffix_prefix_match():
-    # the automaton state after reading w: the longest suffix of w that is
-    # a prefix of the pattern
-    assert match_state(SubwordTable(enc("aab"), 2), enc("baa")) == 2
-    assert match_state(SubwordTable(enc("aa"), 2), enc("bb")) == 0
+    # the match state after reading w: the longest suffix of w that is a
+    # prefix of the pattern
+    assert _chain_match(SubwordTable(enc("aab"), 2), enc("baa")) == 2
+    assert _chain_match(SubwordTable(enc("aa"), 2), enc("bb")) == 0
     # definitional lower bound: anything ending in v[:j] matches at least j
     rng = random.Random(1)
     for _ in range(100):
         v = tuple(rng.randrange(3) for _ in range(rng.randrange(2, 9)))
         j = rng.randrange(1, len(v) + 1)
         head = tuple(rng.randrange(3) for _ in range(rng.randrange(0, 6)))
-        assert match_state(SubwordTable(v, 3), head + v[:j]) >= j
+        assert _chain_match(SubwordTable(v, 3), head + v[:j]) >= j
 
 
 def test_suffix_prefix_match_brute():
@@ -196,9 +206,18 @@ def test_suffix_prefix_match_brute():
             table = SubwordTable(v, 2)
             for nw in range(0, 6):
                 for w in all_words(nw, 2):
-                    want = max((m for m in range(1, min(nw, nv) + 1)
-                                if w[nw - m:] == v[:m]), default=0)
-                    assert match_state(table, w) == want
+                    assert _chain_match(table, w) == match_state(v, w), (v, w)
+
+
+def test_border_chains_match_definition():
+    # chain[j]: the borders b >= 1 of p[:j], its suffixes that are prefixes
+    # of p, longest first, which the wrap checks and the joint count read
+    for k, nmax in ((2, 7), (3, 5)):
+        for n in range(1, nmax + 1):
+            for p in all_words(n, k):
+                chain = SubwordTable(p, k).chain
+                for j in range(n + 1):
+                    assert chain[j] == [b for b in range(j, 0, -1) if p[j - b:j] == p[:b]], (p, j)
 
 
 def test_empty_words_rejected():

@@ -58,12 +58,9 @@ def lyndon_prefix_length(w):
     return j - i
 
 
-def match_state(table, w):
-    """State of the pattern automaton table.delta after reading w."""
-    j = 0
-    for x in w:
-        j = table.delta[j][x]
-    return j
+def match_state(p, w):
+    """Length of the longest suffix of w that is a prefix of p."""
+    return max(m for m in range(min(len(w), len(p)) + 1) if w[len(w) - m:] == p[:m])
 
 
 def period(w):
