@@ -37,7 +37,8 @@ from .words import (as_index, bracelet_reps_from, bracelet_representative, floor
 # (README, "Time and memory per n").
 FLOOR_MEMO = 4096
 # Largest block of representatives unrank walks instead of probing further;
-# 512 and 1024 tie on perfbench's unrank shapes, 2048 is slower (README).
+# on perfbench's unrank shapes 512 and 1024 tie and 2048 is slower, also
+# with the packed joint DP's cheaper ranks (README).
 WALK_BLOCK = 1024
 
 

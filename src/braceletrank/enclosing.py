@@ -16,14 +16,20 @@ periods P | n; Mobius inversion turns each term into word counts
 
 which are k^d less J(p), the words whose rotations and whose reversal's
 all lie above the prenecklace p = f[:d]: a joint DP that walks the word's
-blocks on p's SubwordTable while it tracks its reversal's bound code.  At
-d = n that is the floor's table, passed down; a proper prefix's table is
-built only when its memoised joint count misses.
+blocks on p's SubwordTable while it tracks its reversal's exact bound code.
+A state is (run position, reverse code); its value is one integer holding,
+in fields of W bits, the count of each longest open match lm of the
+reversal's rotations with p.  No field exceeds d*k^d, the weighted count of
+all words, so W = (d*k^d).bit_length() + 1 bits never carry into the next
+field, and one addition moves every lm at once.  A rotation opens on the
+one word whose code is that of p[1:l] and then lies in field l; at the wrap,
+field lm passes where the final code exceeds a threshold T(lm).  At d = n
+the table is the floor's, passed down; a proper prefix's table is built only
+when its memoised joint count misses.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 
 from .bounding import SubwordTable, cached_table
@@ -44,96 +50,66 @@ def _joint_count(table: SubwordTable) -> int:
     sequence of blocks p[:r].x, x > p[r]; the reverse condition holds for
     all rotations or none, so the count sums, over the passing block
     sequences of length d, the length of their last block (the one position
-    0 of w falls in).  States: {run position r: {reverse code}}.
+    0 of w falls in).
 
-    Reverse: w^R grows at its front, exposing one rotation per symbol; open
-    rotations (still equal to a p-prefix) are summarized by their longest
-    match lm and resolved at the wrap, in the code lm*W + b, W the number of
-    bound codes at the length.  A strict (even) code c at length l is above
-    the rotation of p at m iff c > 2*pos_id[l][m % d] + 1, and only the
-    rotations at M(l, lm) = {1..d-l} u {d-l+b : b in chain[lm]} are
-    compared again, so each maps to its class, the largest even code
-    2*pos_id[l][m % d] + 2 <= c over m in M, else 0: exact, as M only
-    shrinks as l grows.  Per layer, the table's prepend rows give each b
-    its successor per symbol (on p[0], the codes below p[1:l] drop and the
-    code of p[1:l] opens lm = l), and each present lm fills one class list:
-    the one over {1..d-l}, with the span of each chain rotation's code
-    raised to it.  A reverse code then maps with two lookups.
+    Reverse: w^R grows at its front, exposing one rotation per symbol, and
+    is tracked by its exact bound code b (table.prepend_rows).  A state is
+    (run position r, b); its value is one integer whose field lm, the W
+    bits from lm*W, counts the words whose longest open rotation (still
+    equal to a p-prefix) has length lm.  A field never exceeds the weighted
+    count of all words, d*k^d, so W = (d*k^d).bit_length() + 1 bits keep
+    the fields apart, and one addition moves every lm at once: the code's
+    transition does not depend on lm.  On x = p[0] the new rotation at the
+    front compares the code with p[1:l], the opener: below it drops, and
+    at it, an exact code and so a single word, it opens in field l.  At the
+    wrap, the open rotations are those at the borders m in chain[lm], and
+    each compares the final code c with the cyclic subword of p at m: the
+    word passes iff c > T(lm), the largest 2*pos_id[d][m % d] + 1 over
+    chain[lm] (T(0) = -1).  So the count reads field lm of the suffix sum
+    of the final values over the codes above T(lm).
     """
     d, k, p = table.n, table.k, table.p
     check(lyndon_prefix(p)[1] == d, "the pattern is not a prenecklace")
-    p0 = p[0]
-    width, chain = table.width, table.chain
+    p0, W = p[0], (d * k ** d).bit_length() + 1
     states = {0: {1: 1}}
     for t in range(d):
         l = t + 1  # length of the successors
-        w_cur, w_next = width[t], width[l]
-        pos = table.pos_id[l]
-        # code -> class over the rotations at 1..d-l; exact codes stay, and
-        # the even entries are non-decreasing
-        reach = {2 * pos[m] + 2 for m in range(1, d - l + 1)}
-        canon, last = list(range(w_next)), 0
-        for c in range(2, w_next, 2):
-            last = canon[c] = c if c in reach else last
-        even = canon[::2]
-
-        def classes(lm):
-            # canon plus the rotations at d-l+b, b in chain[lm]: the code
-            # e = 2r+2 of each starts a class, up to the next class start
-            cl = canon
-            for e in sorted([2 * pos[(d - l + b) % d] + 2 for b in chain[lm]]):
-                if canon[e] < e:
-                    if cl is canon:
-                        cl = canon[:]
-                    end = bisect_right(even, canon[e], e >> 1)
-                    cl[e:2 * end:2] = [e] * (end - (e >> 1))
-            return cl
-
-        codes = set().union(*states.values())
         rows = table.prepend_rows(t)
-        # on x = p0 a rotation of w^R opens at the code of p[1:l] (the
-        # empty word at t = 0) and drops below p from the codes under it
-        opener = 2 * table.pos_id[t][1 % d] + 1
-        opened = l * w_next + classes(l)[rows[p0][opener]]
-        # per symbol: reverse code -> successor, -1 where a rotation drops
-        rmaps = {x: [-1] * (l * w_cur) for x in range(p0, k)}
-        row0, map0 = rows[p0], rmaps[p0]
-        rest = [(rows[x], rmaps[x]) for x in range(p0 + 1, k)]
-        cls = {0: canon}
-        for rc in codes:
-            lm, br = divmod(rc, w_cur)
-            cl = cls.get(lm)
-            if cl is None:
-                cl = cls[lm] = classes(lm)
-            off = lm * w_next
-            for row, rmap in rest:
-                rmap[rc] = off + cl[row[br]]
-            if br > opener:
-                map0[rc] = off + cl[row0[br]]
-            elif br == opener:
-                map0[rc] = opened
+        opener = 2 * table.pos_id[t][1 % d] + 1  # p[1:l], the empty word at t = 0
         reset = {}
         nxt, get = {0: reset}, reset.get
         for r, rev in states.items():
             fr = p[r]
             if l == d:  # the last symbol closes the last block
-                rev = {rc: c * (r + 1) for rc, c in rev.items()}
+                rev = {b: v * (r + 1) for b, v in rev.items()}
             for x in range(fr + 1, k):
-                rmap = rmaps[x]
-                for rc, c in rev.items():
-                    nrc = rmap[rc]
-                    reset[nrc] = get(nrc, 0) + c
+                row = rows[x]
+                for b, v in rev.items():
+                    nb = row[b]
+                    reset[nb] = get(nb, 0) + v
             if l < d:
-                rmap, tgt = rmaps[fr], {}
+                row, tgt = rows[fr], {}
                 tget = tgt.get
-                for rc, c in rev.items():
-                    nrc = rmap[rc]
-                    tgt[nrc] = tget(nrc, 0) + c
+                for b, v in rev.items():
+                    if fr == p0 and b <= opener:
+                        if b < opener:  # the rotation at the front is below p
+                            continue
+                        v = 1 << l * W  # one word: its rotation at the front opens
+                    nb = row[b]
+                    tgt[nb] = tget(nb, 0) + v
                 nxt[r + 1] = tgt
-        for tgt in nxt.values():
-            tgt.pop(-1, None)
         states = nxt
-    return sum(c for rc, c in states[0].items() if table.wrap_ok(*divmod(rc, width[d])))
+    final, pos = states[0], table.pos_id[d]
+    codes = sorted(final, reverse=True)
+    thresholds = sorted(((max((2 * pos[m % d] + 1 for m in table.chain[lm]), default=-1), lm)
+                         for lm in range(d)), reverse=True)
+    total = acc = i = 0
+    for thr, lm in thresholds:  # acc: the sum of the values at codes > thr
+        while i < len(codes) and codes[i] > thr:
+            acc += final[codes[i]]
+            i += 1
+        total += (acc >> lm * W) & ((1 << W) - 1)
+    return total
 
 
 @lru_cache(maxsize=JOINT_MEMO)

@@ -52,6 +52,13 @@ def _large_patterns():
     out += [((0,) * 60, 2), ((1,) * 60, 2), ((2,) * 40, 3)]
     # border chains of depth 59 and 17: a Lyndon word and a periodic necklace
     out += [((0,) * 59 + (1,), 2), ((0, 0, 0, 1) * 15, 2)]
+    # wider alphabets, so wider packed fields in the joint count: random
+    # words as above, the floor 0 (k-1)^(d-1) of a word starting with the
+    # top symbol, and a power
+    for k, d in ((8, 30), (5, 40)):
+        w = tuple(rng.randrange(k) for _ in range(d))
+        out += [(w, k), (naive_min_rotation(w), k)]
+    out += [((0,) + (7,) * 29, 8), ((0, 4, 1, 3) * 15, 5)]
     out = [(p if is_prenecklace(p) else floor_necklace(p, k), k) for p, k in out]
     return [pytest.param(p, k, id=f"{i}-d{len(p)}k{k}") for i, (p, k) in enumerate(out)]
 
@@ -64,7 +71,7 @@ def test_random_periodic_and_constant_patterns(p, k):
 @st.composite
 def random_prenecklaces(draw, dmax=20):
     # a prefix of the floor of a random word: any prenecklace can come up
-    n, k = draw(st.integers(1, dmax)), draw(st.integers(2, 4))
+    n, k = draw(st.integers(1, dmax)), draw(st.integers(2, 8))
     w = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     return floor_necklace(tuple(w), k)[:draw(st.integers(1, n))], k
 

@@ -61,7 +61,7 @@ def test_enclosing_bracelets_are_apalindromic():
                 assert naive_min_rotation(b[::-1]) != b
 
 
-@pytest.mark.parametrize("k,dmax", [(2, 10), (3, 6), (4, 5)])
+@pytest.mark.parametrize("k,dmax", [(2, 10), (3, 6), (4, 5), (5, 4), (8, 3)])
 def test_joint_count_matches_definition(k, dmax):
     # _joint_count(p) = #{w : every rotation of w > p and every rotation of
     # w^R > p}, i.e. min-rotation(w) > p < min-rotation(w^R), for every
