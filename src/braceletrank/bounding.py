@@ -52,7 +52,7 @@ class _Subwords:
 
 
 class SubwordTable:
-    """Subword order of a pattern, its successor rows and its border chains.
+    """Subword order of a pattern, its successor rows and its wrap thresholds.
 
     The counts walk prenecklace patterns, whose matching automaton is p
     itself (necklace._rotation_dp), so the table keeps none.
@@ -70,8 +70,12 @@ class SubwordTable:
             so p[:l] is subword pos_id[l][0]
         below[x]: number of rotations starting with a symbol below x
         tail[x]: sorted order positions of rotation j+1 over j with p[j] = x
-        chain[j]: the borders b >= 1 of p[:j] (its suffixes that are
-            prefixes of p), longest first, from j itself
+        wrap[j]: the largest code 2*pos_id[n][m % n] + 1 over the borders
+            m >= 1 of p[:j] (its suffixes that are prefixes of p), -1 when
+            there is none: a finished word of length n whose longest suffix
+            matching a prefix of p is p[:j] has every wrapped rotation above
+            p iff its code exceeds wrap[j], as the rotation at border m is
+            p[:m] followed by the word's own prefix
         size[l], width[l]: S_l and the number of codes (2*S_l + 1) at length
             l; at l = 0 the empty word is the one group, spanning every
             order position
@@ -121,9 +125,9 @@ class SubwordTable:
         self.below = [sum(y < x for y in p) for x in range(k)]
         # rotation j is p[j] followed by rotation j+1
         self.tail = [sorted(rank[(j + 1) % n] for j in range(n) if p[j] == x) for x in range(k)]
-        fail, self.chain = _failure(p), [[]]
+        fail, pos, self.wrap = _failure(p), self.pos_id[n], [-1]
         for j in range(1, n + 1):
-            self.chain.append([j] + self.chain[fail[j]])
+            self.wrap.append(max(2 * pos[j % n] + 1, self.wrap[fail[j]]))
         self.width = [2 * s + 1 for s in self.size]
         self._app_cache, self._pre_cache = {}, {}
 
@@ -175,15 +179,6 @@ class SubwordTable:
                 rows.append(row)
             self._pre_cache[l] = rows
         return rows
-
-    def wrap_ok(self, j: int, code: int) -> bool:
-        """Whether the wrapped rotations of a finished word of length n all
-        lie above p: at each border m of the final match state j, the
-        rotation there is p[:m] then the word's own prefix, so comparing
-        the word (bound code at length n) with the cyclic subword of p at m
-        settles it."""
-        pos = self.pos_id[self.n]
-        return all(code > 2 * pos[m % self.n] + 1 for m in self.chain[j])
 
 
 @lru_cache(maxsize=1)

@@ -19,7 +19,7 @@ from .bounding import SubwordTable, dump_tables
 from .enclosing import build_SE, rank_enclosing
 from .necklace import count_necklaces, rank_necklaces
 from .oracle import BudgetExceededError
-from .palindromic import pe_layer_counts, po_layer_counts, rank_palindromic, total_palindromic
+from .palindromic import layer_counts, rank_palindromic, total_palindromic
 from .words import Alphabet
 
 SETS = ("bracelet", "necklace", "palindromic", "enclosing")
@@ -151,10 +151,9 @@ def _cmd_tables(args):
             for (x, i, j, s), c in sorted(se.items())
         ]
     if args.layers:
-        layers = po_layer_counts(word, k) if len(word) % 2 else pe_layer_counts(word, k)
         out["layers"] = [
             {"i": i, "j": j, "s": s, "count": c}
-            for (i, j, s), c in sorted(layers.items())
+            for (i, j, s), c in sorted(layer_counts(word, k).items())
         ]
     print(json.dumps(out))
     return 0

@@ -23,7 +23,7 @@ reversal's rotations with p.  No field exceeds d*k^d, the weighted count of
 all words, so W = (d*k^d).bit_length() + 1 bits never carry into the next
 field, and one addition moves every lm at once.  A rotation opens on the
 one word whose code is that of p[1:l] and then lies in field l; at the wrap,
-field lm passes where the final code exceeds a threshold T(lm).  At d = n
+field lm passes where the final code exceeds the table's wrap[lm].  At d = n
 the table is the floor's, passed down; a proper prefix's table is built only
 when its memoised joint count misses.
 """
@@ -62,11 +62,12 @@ def _joint_count(table: SubwordTable) -> int:
     transition does not depend on lm.  On x = p[0] the new rotation at the
     front compares the code with p[1:l], the opener: below it drops, and
     at it, an exact code and so a single word, it opens in field l.  At the
-    wrap, the open rotations are those at the borders m in chain[lm], and
+    wrap, the open rotations are those at the borders m >= 1 of p[:lm], and
     each compares the final code c with the cyclic subword of p at m: the
-    word passes iff c > T(lm), the largest 2*pos_id[d][m % d] + 1 over
-    chain[lm] (T(0) = -1).  So the count reads field lm of the suffix sum
-    of the final values over the codes above T(lm).
+    word passes iff c > T(lm) = table.wrap[lm], the largest
+    2*pos_id[d][m % d] + 1 over those borders (T(0) = -1).  So the count
+    reads field lm of the suffix sum of the final values over the codes
+    above T(lm).
     """
     d, k, p = table.n, table.k, table.p
     check(lyndon_prefix(p)[1] == d, "the pattern is not a prenecklace")
@@ -99,10 +100,9 @@ def _joint_count(table: SubwordTable) -> int:
                     tgt[nb] = tget(nb, 0) + v
                 nxt[r + 1] = tgt
         states = nxt
-    final, pos = states[0], table.pos_id[d]
+    final = states[0]
     codes = sorted(final, reverse=True)
-    thresholds = sorted(((max((2 * pos[m % d] + 1 for m in table.chain[lm]), default=-1), lm)
-                         for lm in range(d)), reverse=True)
+    thresholds = sorted(zip(table.wrap[:d], range(d)), reverse=True)
     total = acc = i = 0
     for thr, lm in thresholds:  # acc: the sum of the values at codes > thr
         while i < len(codes) and codes[i] > thr:

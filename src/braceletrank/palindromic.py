@@ -17,10 +17,12 @@ needed here; tests/reference.py keeps it as a check.
 
 All three forms run one walk over the doubled words reverse(u).u (even
 length) or reverse(phi).x.phi (odd length), grown by one symbol at each end
-per layer.  A state is (longest suffix matching a v-prefix, bound code); the
-code may be exact, so the palindromic cyclic subwords of v are ordinary
-states.  A finished word counts when it passes the table's wrap check with
-every rotation strictly above v, as in the joint DP of the enclosing module.
+per layer, one composed row per symbol.  States are grouped as in the joint
+DP of the enclosing module, {j: {code: count}}: j the longest suffix
+matching a v-prefix, code the exact bound code, which may be odd, so the
+palindromic cyclic subwords of v are ordinary states.  A finished word has
+every rotation strictly above v when its code exceeds the table's wrap[j],
+the threshold the joint DP reads at the wrap.
 
 The forms take the SubwordTable of a necklace representative v.  size_PS
 is the walk at length n; size_PO_PE is the walk at length n-1 plus one
@@ -34,80 +36,78 @@ palindromic.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .bounding import SubwordTable
 from .errors import InternalError, check
 from .words import alphabet_size, as_index, floor_necklace, lyndon_prefix, min_rotation, validate_word
 
 
-def _step(table, states, dl):
-    """Grow doubled words by one symbol on each side, from length dl to
-    l = dl + 2: reverse(u).u for even dl, reverse(phi).x.phi for odd dl.
-    Words that fell below v[:l] are dropped; a word equal to v[:l] matches
-    all of it, which growth at the back cannot see.  Below that, v[j]
-    advances the match j and larger symbols reset it (SubwordTable)."""
-    nxt, k, l, p = {}, table.k, dl + 2, table.p
-    app, pre, get = table.append_rows(dl), table.prepend_rows(dl + 1), nxt.get
-    prefix = 2 * table.pos_id[l][0] + 1
-    for (j, code), c in states.items():
-        pj = p[j]
-        for x in range(pj, k):
-            st = pre[x][app[x][code]]
-            if st & 1 and not code & 1:
-                raise InternalError("a strictly bounded doubled word became a subword")
-            if st >= prefix:
-                key = (l if st == prefix else j + 1 if x == pj else 0, st)
-                nxt[key] = get(key, 0) + c
+def _grow(table, states, l, rows):
+    """The states at length l of the words in states, each grown by one
+    symbol x >= v[j], j its match, through rows[x]: one appended symbol
+    (append_rows), the middle one of the odd walk at l = 1 and the closing
+    one at l = n, or one on each side (_doubled_rows).  Words below v[:l]
+    drop out; the one word equal to v[:l] matches all of it, which growth
+    at the back cannot see.  Below that, v[j] advances the match j and
+    larger symbols reset it."""
+    k, p, prefix = table.k, table.p, 2 * table.pos_id[l][0] + 1
+    reset = {}
+    nxt = {0: reset}
+    for j, words in states.items():
+        pj, adv = p[j], nxt.setdefault(j + 1, {})
+        for code, c in words.items():
+            for x in range(pj, k):
+                st = rows[x][code]
+                if st > prefix:
+                    tgt = adv if x == pj else reset
+                    tgt[st] = tgt.get(st, 0) + c
+                elif st == prefix:
+                    nxt.setdefault(l, {})[st] = c
     return nxt
+
+
+def _doubled_rows(table, dl):
+    """rows[x][code]: the code of x.w.x at length dl + 2, given the code of
+    w at length dl.  No extension of a word strictly bounded at dl is a
+    subword, so no even code may map to an odd one."""
+    rows = [[pre[c] for c in app]
+            for app, pre in zip(table.append_rows(dl), table.prepend_rows(dl + 1))]
+    if any(reduce(or_, row[::2]) & 1 for row in rows):
+        raise InternalError("a strictly bounded doubled word became a subword")
+    return rows
 
 
 def _layers(table, final_len, sink=None):
-    """States {(j, code): count} of the doubled words of length final_len:
+    """States {j: {code: count}} of the doubled words of length final_len:
     grown from the empty word reverse(u).u when final_len is even, from the
     middle symbol of reverse(phi).x.phi when odd; sink sees every layer."""
     check(lyndon_prefix(table.p)[1] == table.n, "the pattern is not a prenecklace")
-    states, dl = {(0, 1): 1}, final_len % 2
-    if dl:
-        states = _append_one(table, states, 0)
-        if sink is not None:
-            sink(1, states)
+    states, dl = {0: {1: 1}}, 0
     while dl < final_len:
-        states = _step(table, states, dl)
-        dl += 2
+        if dl == 0 and final_len % 2:
+            states, dl = _grow(table, states, 1, table.append_rows(0)), 1
+        else:
+            states, dl = _grow(table, states, dl + 2, _doubled_rows(table, dl)), dl + 2
         if sink is not None:
             sink(dl, states)
     return states
-
-
-def _append_one(table, states, l):
-    """The states at length l+1 of the words of length l followed by one
-    more symbol: the middle symbol of the odd walk at l = 0, and at
-    l = n-1 the words reverse(u).u.x and reverse(phi).x.phi.y, rotations of
-    phi.x.reverse(phi) and x.phi.y.reverse(phi).  Words are dropped and
-    matched as in _step."""
-    nxt, k, p = {}, table.k, table.p
-    app, prefix, get = table.append_rows(l), 2 * table.pos_id[l + 1][0] + 1, nxt.get
-    for (j, code), c in states.items():
-        pj = p[j]
-        for x in range(pj, k):
-            st = app[x][code]
-            if st >= prefix:
-                key = (l + 1 if st == prefix else j + 1 if x == pj else 0, st)
-                nxt[key] = get(key, 0) + c
-    return nxt
 
 
 def _above(table, states) -> int:
     """Words of length n = |v| among the states whose every rotation is
     strictly above v.  A rotation of v fails the wrap check at the border
     where it starts v, so exact codes need no test of their own."""
-    return sum(c for (j, code), c in states.items() if table.wrap_ok(j, code))
+    return sum(c for j, words in states.items() for code, c in words.items() if code > table.wrap[j])
 
 
 def size_PO_PE(table) -> int:
     """Number of words of length n = |v|, v = table.p, whose class minimum
     is strictly above v: words phi.x.reverse(phi) when n is odd,
     x.phi.y.reverse(phi) when n is even."""
-    return _above(table, _append_one(table, _layers(table, table.n - 1), table.n - 1))
+    n = table.n
+    return _above(table, _grow(table, _layers(table, n - 1), n, table.append_rows(n - 1)))
 
 
 def size_PS(table) -> int:
@@ -147,34 +147,22 @@ def rank_palindromic(v, k: int) -> int:
 
 # --- diagnostic layer dumps -------------------------------------------------
 
-def _layer_counts(v, k, final_len, index) -> dict:
+def layer_counts(v, k: int) -> dict:
+    """Strict-branch cell counts {(i, j, s): count} of the walk to length
+    n - 1, n = |v|: at odd n, prefixes u of length i with doubled word
+    reverse(u).u of length 2i; at even n, prefixes x.phi of length i with
+    doubled word reverse(phi).x.phi of length 2i - 1; longest v-prefix
+    suffix j, strictly bounded by subword s.  v must be a necklace
+    representative."""
     if min_rotation(tuple(v)) != tuple(v):
         raise ValueError("layer dumps require a necklace representative")
-    out, table = {}, SubwordTable(tuple(v), k)
+    out = {}
 
     def sink(dl, states):
-        for (j, code), c in states.items():
-            if not code & 1:
-                out[(index(dl), j, (code >> 1) - 1)] = c
+        for j, words in states.items():
+            for code, c in words.items():
+                if not code & 1:
+                    out[((dl + 1) // 2, j, (code >> 1) - 1)] = c
 
-    _layers(table, final_len, sink)
+    _layers(SubwordTable(tuple(v), k), len(v) - 1, sink)
     return out
-
-
-def po_layer_counts(v, k: int) -> dict:
-    """Strict-branch cell counts {(i, j, s): count} of the odd-case DP:
-    i prefixes u with doubled word reverse(u).u of length 2i, longest
-    v-prefix suffix j, strictly bounded by subword s.  v must be a
-    necklace representative."""
-    if len(v) % 2 == 0:
-        raise ValueError("po_layer_counts requires odd length")
-    return _layer_counts(v, k, len(v) - 1, lambda dl: dl // 2)
-
-
-def pe_layer_counts(v, k: int) -> dict:
-    """Strict-branch cell counts {(i, j, s): count} of the even-case DP:
-    prefixes x.phi of length i with doubled word reverse(phi).x.phi of
-    length 2i - 1.  v must be a necklace representative."""
-    if len(v) % 2:
-        raise ValueError("pe_layer_counts requires even length")
-    return _layer_counts(v, k, len(v) - 1, lambda dl: (dl + 1) // 2)

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from braceletrank import palindromic
 from braceletrank.bounding import SubwordTable
 from braceletrank.errors import check
-from braceletrank.words import floor_necklace, min_rotation, validate_word
+from braceletrank.words import _failure, floor_necklace, min_rotation, validate_word
 
 
 def _words(n, k):
@@ -265,11 +265,23 @@ def _rotation_layers(table: SubwordTable):
         yield states
 
 
-def wrap_ok(table: SubwordTable, j: int, code: int, strict: bool) -> bool:
-    """SubwordTable.wrap_ok with a choice: strict asks for every wrapped
-    rotation > p, else >= p."""
+def chains(p) -> list:
+    """chains(p)[j]: the borders m >= 1 of p[:j] (its suffixes that are
+    prefixes of p), longest first, from j itself along the failure links."""
+    fail, out = _failure(p), [[]]
+    for j in range(1, len(p) + 1):
+        out.append([j] + out[fail[j]])
+    return out
+
+
+def wrap_ok(table: SubwordTable, borders, code: int, strict: bool) -> bool:
+    """Whether a finished word of length n = |p| with bound code `code`,
+    whose final match state has the borders `borders` (chains(p)[j]), has
+    every wrapped rotation > p (strict), else >= p: the rotation at border
+    m is p[:m] then the word's own prefix, so it compares as the word does
+    with the cyclic subword of p at m."""
     pos = table.pos_id[table.n]
-    return all(code >= 2 * pos[m % table.n] + 1 + strict for m in table.chain[j])
+    return all(code >= 2 * pos[m % table.n] + 1 + strict for m in borders)
 
 
 def rotation_count_dp(p, k: int, strict: bool = False) -> int:
@@ -278,8 +290,9 @@ def rotation_count_dp(p, k: int, strict: bool = False) -> int:
     table = SubwordTable(tuple(p), k)
     for states in _rotation_layers(table):
         pass
+    chain = chains(table.p)
     return sum(c for j, row in states.items()
-               for b, c in row.items() if wrap_ok(table, j, b, strict))
+               for b, c in row.items() if wrap_ok(table, chain[j], b, strict))
 
 
 def joint_count_dp(table: SubwordTable) -> int:
@@ -303,7 +316,7 @@ def joint_count_dp(table: SubwordTable) -> int:
     """
     d, k = table.n, table.k
     p0 = table.p[0]
-    width, chain = table.width, table.chain
+    width, chain = table.width, chains(table.p)
     thresh, delta = _automaton(table.p, k)
     lo = [max(x, p0) for x in thresh]
     states = {0: {1: {1: 1}}}
@@ -342,5 +355,6 @@ def joint_count_dp(table: SubwordTable) -> int:
                         tgt[nrc] = tgt.get(nrc, 0) + c
         states = nxt
     return sum(c for j, fwd in states.items() for bf, rev in fwd.items()
-               if table.wrap_ok(j, bf)
-               for rc, c in rev.items() if table.wrap_ok(*divmod(rc, width[d])))
+               if wrap_ok(table, chain[j], bf, True)
+               for rc, c in rev.items()
+               if wrap_ok(table, chain[rc // width[d]], rc % width[d], True))

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from braceletrank.enclosing import build_SE
 from braceletrank.oracle import enumerate_class
-from braceletrank.palindromic import pe_layer_counts, po_layer_counts, total_palindromic
+from braceletrank.palindromic import layer_counts, total_palindromic
 from braceletrank.words import min_rotation
 from reference import brute_pe_cells, brute_po_cells, brute_se_cells
 from util import all_words, dec, is_necklace
@@ -78,14 +78,10 @@ def test_criterion_3_layer_dp_ground_truth():
             cells += len(want)
             if not is_necklace(v):
                 continue
-            if n % 2 == 1 and n >= 3:
-                got = po_layer_counts(v, 2)
-                want = brute_po_cells(v, 2)
-            elif n % 2 == 0 and n >= 4:
-                got = pe_layer_counts(v, 2)
-                want = brute_pe_cells(v, 2)
-            else:
+            if n < 3:
                 continue
+            got = layer_counts(v, 2)
+            want = (brute_po_cells if n % 2 == 1 else brute_pe_cells)(v, 2)
             assert got == want, (n, v)
             cells += len(want)
     print(f"\nACCEPTANCE 3 PASS: {cells} DP cells equal definition-based "

@@ -5,10 +5,9 @@ import pytest
 from braceletrank.bounding import SubwordTable
 from braceletrank.palindromic import (
     _above,
-    _append_one,
+    _grow,
     _layers,
-    pe_layer_counts,
-    po_layer_counts,
+    layer_counts,
     rank_palindromic,
     total_palindromic,
 )
@@ -48,13 +47,13 @@ def test_size_x_matches_internal_closure_on_reachable_states():
             for v in all_words(n, k):
                 if not is_necklace(v):
                     continue
-                cells = po_layer_counts(v, k)
+                cells = layer_counts(v, k)
                 t = SubwordTable(v, k)
                 seen = set()
                 for (i, j, s) in cells:
                     if i == (n - 1) // 2 and (j, s) not in seen:
                         seen.add((j, s))
-                        closed = _above(t, _append_one(t, {(j, 2 * s + 2): 1}, n - 1))
+                        closed = _above(t, _grow(t, {j: {2 * s + 2: 1}}, n, t.append_rows(n - 1)))
                         assert closed == size_X(v, k, j, s)
 
 
@@ -70,7 +69,8 @@ def test_exact_states_are_the_palindromic_subwords():
             layers = {}
 
             def sink(l, states):
-                layers[l] = {key: c for key, c in states.items() if key[1] % 2}
+                layers[l] = {(j, code): c for j, words in states.items()
+                             for code, c in words.items() if code % 2}
 
             _layers(t, n, sink)
             _layers(t, n - 1, sink)
@@ -256,17 +256,11 @@ def test_layer_ground_truth_small():
         for v in all_words(n, 2):
             if not is_necklace(v):
                 continue
-            if n % 2 == 1:
-                assert po_layer_counts(v, 2) == brute_po_cells(v, 2)
-            else:
-                assert pe_layer_counts(v, 2) == brute_pe_cells(v, 2)
+            brute = brute_po_cells if n % 2 == 1 else brute_pe_cells
+            assert layer_counts(v, 2) == brute(v, 2)
 
 
 def test_rejects_wrong_parity_and_bad_words():
-    with pytest.raises(ValueError, match="odd length"):
-        po_layer_counts((0, 1), 2)
-    with pytest.raises(ValueError, match="even length"):
-        pe_layer_counts((0, 0, 1), 2)
     with pytest.raises(ValueError):
         rank_palindromic((), 2)
     with pytest.raises(ValueError):

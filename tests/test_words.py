@@ -15,6 +15,7 @@ from braceletrank.words import (
     lyndon_prefix,
     min_rotation,
 )
+from reference import chains
 from util import (all_words, bracelet_reps, enc, is_necklace, lyndon_prefix_length, match_state,
                   naive_min_rotation, necklace_reps, period, prenecklaces, rotations)
 
@@ -180,9 +181,9 @@ def _chain_match(table, w):
     """The match state after reading w, stepping along the table's border
     chains: from state j, the longest border b of p[:j] (or 0) with
     p[b] == x grows to b + 1, and none resets to 0."""
-    p, j = table.p, 0
+    p, chain, j = table.p, chains(table.p), 0
     for x in w:
-        j = next((b + 1 for b in table.chain[j] + [0] if b < table.n and p[b] == x), 0)
+        j = next((b + 1 for b in chain[j] + [0] if b < table.n and p[b] == x), 0)
     return j
 
 
@@ -209,15 +210,19 @@ def test_suffix_prefix_match_brute():
                     assert _chain_match(table, w) == match_state(v, w), (v, w)
 
 
-def test_border_chains_match_definition():
-    # chain[j]: the borders b >= 1 of p[:j], its suffixes that are prefixes
-    # of p, longest first, which the wrap checks and the joint count read
+def test_wrap_thresholds_match_definition():
+    # wrap[j]: the largest 2*pos_id[n][m % n] + 1 over the borders m >= 1 of
+    # p[:j], its suffixes that are prefixes of p, else -1; the palindromic
+    # walk and the joint count read it at the wrap
     for k, nmax in ((2, 7), (3, 5)):
         for n in range(1, nmax + 1):
             for p in all_words(n, k):
-                chain = SubwordTable(p, k).chain
+                table = SubwordTable(p, k)
+                pos = table.pos_id[n]
                 for j in range(n + 1):
-                    assert chain[j] == [b for b in range(j, 0, -1) if p[j - b:j] == p[:b]], (p, j)
+                    want = max((2 * pos[m % n] + 1 for m in range(1, j + 1)
+                                if p[j - m:j] == p[:m]), default=-1)
+                    assert table.wrap[j] == want, (p, j)
 
 
 def test_empty_words_rejected():
