@@ -188,42 +188,23 @@ def cached_table(p: tuple, k: int) -> SubwordTable:
     return SubwordTable(p, k)
 
 
-def _strict_rows(table: SubwordTable, rows) -> dict:
-    # (l, s, x) -> strict bound index after rows(l)[x][code], None for
-    # bottom; from a strict code no step lands on an exact code
-    out = {}
-    for l in range(1, table.n):
-        for s in [None] + list(range(len(table.sub[l]))):
-            for x in range(table.k):
-                b = rows(l)[x][0 if s is None else 2 * s + 2] >> 1
-                out[(l, s, x)] = b - 1 if b else None
-    return out
-
-
-def build_XW(table: SubwordTable) -> dict:
-    """Prepend transitions (l, s, x) -> bound index at length l+1: for every
-    word w strictly bounded by subword s at length l, XW[(l, s, x)] strictly
-    bounds x.w.  s = None is the bottom row; value None is bottom."""
-    return _strict_rows(table, table.prepend_rows)
-
-
-def build_WX(table: SubwordTable) -> dict:
-    """Append transitions, as build_XW for w.x (independent of x)."""
-    return _strict_rows(table, table.append_rows)
-
-
 def dump_tables(table: SubwordTable, alphabet=None) -> list:
-    """JSON-serializable dump of S(v, l) and the XW/WX rows per length."""
-    xw, wx = build_XW(table), build_WX(table)
+    """JSON-serializable dump of S(v, l) and, below length n, the strict
+    transitions per length: for every word w strictly bounded by subword s
+    ("bottom": below every subword), xw["s:x"] and wx["s:x"] are the
+    subwords strictly bounding x.w and w.x at length l+1, None for bottom.
+    They are the rows of prepend_rows(l) and append_rows(l) at the even
+    codes, 0 for bottom and 2s + 2, which no step takes to an odd code."""
     fmt = list if alphabet is None else alphabet.decode
+    symbols = range(table.k) if alphabet is None else alphabet.symbols
     out = []
     for l in range(1, table.n + 1):
         entry = {"l": l, "subwords": [fmt(v) for v in table.sub[l]], "xw": {}, "wx": {}}
         if l < table.n:
-            for s in [None] + list(range(len(table.sub[l]))):
-                for x in range(table.k):
-                    key = f"{'bottom' if s is None else s}:{x if alphabet is None else alphabet.symbols[x]}"
-                    entry["xw"][key] = xw[(l, s, x)]
-                    entry["wx"][key] = wx[(l, s, x)]
+            for key, rows in (("xw", table.prepend_rows(l)), ("wx", table.append_rows(l))):
+                for code in range(0, table.width[l], 2):
+                    for x, row in zip(symbols, rows):
+                        b = row[code] >> 1
+                        entry[key][f"{code // 2 - 1 if code else 'bottom'}:{x}"] = b - 1 if b else None
         out.append(entry)
     return out

@@ -34,44 +34,46 @@ def _budget(args):
     return int(env) if env else None
 
 
-def _rank_json(bd, alphabet):
-    return {"word": alphabet.decode(bd.word), "n": bd.n, "k": bd.k,
-            **{x: str(getattr(bd, x)) for x in ("rn", "rp", "re", "rb")}}
+# the bracelet set's ranks, in print order: those of its three parts, then its own
+_PARTS = {"rn": "necklace", "rp": "palindromic", "re": "enclosing", "rb": "bracelet"}
+
+
+def _ranks(args, word, k) -> dict:
+    """{field: rank}: rn/rp/re/rb for the bracelet set, {set: rank} for
+    the others; by brute-force enumeration under --use-oracle."""
+    sets = _PARTS if args.set == "bracelet" else {args.set: args.set}
+    if args.use_oracle:
+        budget = _budget(args)
+        return {f: oracle.oracle_rank(_SET_TO_KIND[s], word, k, budget) for f, s in sets.items()}
+    if args.set == "bracelet":
+        bd = rank_bracelet(word, k)
+        return {f: getattr(bd, f) for f in _PARTS}
+    fn = {"necklace": rank_necklaces, "palindromic": rank_palindromic,
+          "enclosing": rank_enclosing}[args.set]
+    return {args.set: fn(word, k)}
 
 
 def _cmd_rank(args):
     alphabet = Alphabet(args.alphabet)
     word = alphabet.encode(args.word)
-    k = alphabet.k
-    if args.use_oracle:
-        kind = _SET_TO_KIND[args.set]
-        value = oracle.oracle_rank(kind, word, k, _budget(args))
-        print(value)
-        return 0
-    if args.set == "bracelet":
-        bd = rank_bracelet(word, k)
-        if args.json:
-            print(json.dumps(_rank_json(bd, alphabet)))
-        elif args.breakdown:
-            print(f"rn={bd.rn} rp={bd.rp} re={bd.re} rb={bd.rb}")
-        else:
-            print(bd.rb)
-        return 0
-    fn = {"necklace": rank_necklaces, "palindromic": rank_palindromic,
-          "enclosing": rank_enclosing}[args.set]
-    value = fn(word, k)
+    ranks = _ranks(args, word, alphabet.k)
     if args.json:
-        print(json.dumps({"word": args.word, "n": len(word), "k": k,
-                          args.set: str(value)}))
+        print(json.dumps({"word": args.word, "n": len(word), "k": alphabet.k,
+                          **{f: str(r) for f, r in ranks.items()}}))
+    elif args.breakdown and args.set == "bracelet":
+        print(" ".join(f"{f}={r}" for f, r in ranks.items()))
     else:
-        print(value)
+        print(ranks["rb" if args.set == "bracelet" else args.set])
     return 0
 
 
 def _cmd_unrank(args):
     alphabet = Alphabet(args.alphabet)
-    z = args.index - 1 if args.one_based else args.index
-    word = unrank_bracelet(z, args.length, alphabet.k)
+    if args.one_based:
+        total = count_bracelets(args.length, alphabet.k)
+        if not 1 <= args.index <= total:
+            raise ValueError(f"rank {args.index} out of range [1, {total}]")
+    word = unrank_bracelet(args.index - args.one_based, args.length, alphabet.k)
     text = alphabet.decode(word)
     if args.json:
         print(json.dumps({"index": args.index, "n": args.length,

@@ -17,12 +17,13 @@ needed here; tests/reference.py keeps it as a check.
 
 All three forms run one walk over the doubled words reverse(u).u (even
 length) or reverse(phi).x.phi (odd length), grown by one symbol at each end
-per layer, one composed row per symbol.  States are grouped as in the joint
-DP of the enclosing module, {j: {code: count}}: j the longest suffix
-matching a v-prefix, code the exact bound code, which may be odd, so the
-palindromic cyclic subwords of v are ordinary states.  A finished word has
-every rotation strictly above v when its code exceeds the table's wrap[j],
-the threshold the joint DP reads at the wrap.
+per layer: an append row, then a prepend row one length up, read at each
+state the walk reaches.  States are grouped as in the joint DP of the
+enclosing module, {j: {code: count}}: j the longest suffix matching a
+v-prefix, code the exact bound code, which may be odd, so the palindromic
+cyclic subwords of v are ordinary states.  A finished word has every
+rotation strictly above v when its code exceeds the table's wrap[j], the
+threshold the joint DP reads at the wrap.
 
 The forms take the SubwordTable of a necklace representative v.  size_PS
 is the walk at length n; size_PO_PE is the walk at length n-1 plus one
@@ -36,22 +37,20 @@ palindromic.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-
 from .bounding import SubwordTable
 from .errors import InternalError, check
 from .words import alphabet_size, as_index, floor_necklace, lyndon_prefix, min_rotation, validate_word
 
 
-def _grow(table, states, l, rows):
+def _grow(table, states, l, app, pre=None):
     """The states at length l of the words in states, each grown by one
-    symbol x >= v[j], j its match, through rows[x]: one appended symbol
-    (append_rows), the middle one of the odd walk at l = 1 and the closing
-    one at l = n, or one on each side (_doubled_rows).  Words below v[:l]
-    drop out; the one word equal to v[:l] matches all of it, which growth
-    at the back cannot see.  Below that, v[j] advances the match j and
-    larger symbols reset it."""
+    symbol x >= v[j], j its match: appended through app[x] (append_rows),
+    the middle one of the odd walk at l = 1 and the closing one at l = n,
+    or on each side, x.w.x, through pre[x][app[x][code]] (prepend_rows one
+    length up).  No doubled word strictly bounded at l - 2 is a subword
+    at l.  Words below v[:l] drop out; the one word equal to v[:l]
+    matches all of it, which growth at the back cannot see.  Below that,
+    v[j] advances the match j and larger symbols reset it."""
     k, p, prefix = table.k, table.p, 2 * table.pos_id[l][0] + 1
     reset = {}
     nxt = {0: reset}
@@ -59,24 +58,17 @@ def _grow(table, states, l, rows):
         pj, adv = p[j], nxt.setdefault(j + 1, {})
         for code, c in words.items():
             for x in range(pj, k):
-                st = rows[x][code]
+                st = app[x][code]
+                if pre is not None:
+                    st = pre[x][st]
+                    if st & 1 > code & 1:
+                        raise InternalError("a strictly bounded doubled word became a subword")
                 if st > prefix:
                     tgt = adv if x == pj else reset
                     tgt[st] = tgt.get(st, 0) + c
                 elif st == prefix:
                     nxt.setdefault(l, {})[st] = c
     return nxt
-
-
-def _doubled_rows(table, dl):
-    """rows[x][code]: the code of x.w.x at length dl + 2, given the code of
-    w at length dl.  No extension of a word strictly bounded at dl is a
-    subword, so no even code may map to an odd one."""
-    rows = [[pre[c] for c in app]
-            for app, pre in zip(table.append_rows(dl), table.prepend_rows(dl + 1))]
-    if any(reduce(or_, row[::2]) & 1 for row in rows):
-        raise InternalError("a strictly bounded doubled word became a subword")
-    return rows
 
 
 def _layers(table, final_len, sink=None):
@@ -89,7 +81,8 @@ def _layers(table, final_len, sink=None):
         if dl == 0 and final_len % 2:
             states, dl = _grow(table, states, 1, table.append_rows(0)), 1
         else:
-            states, dl = _grow(table, states, dl + 2, _doubled_rows(table, dl)), dl + 2
+            app, pre = table.append_rows(dl), table.prepend_rows(dl + 1)
+            states, dl = _grow(table, states, dl + 2, app, pre), dl + 2
         if sink is not None:
             sink(dl, states)
     return states

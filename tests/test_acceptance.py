@@ -160,7 +160,8 @@ def test_criterion_8_errata_file_and_total_gate():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.path.join(here, "ERRATA.md")
     assert os.path.exists(path), "ERRATA.md missing"
-    text = open(path).read()
+    with open(path) as f:
+        text = f.read()
     assert "aaabbabb" in text            # the duplicated printed entry
     assert "aaababbb" in text            # what position 12 must be
     assert "n=4" in text and "7" in text  # the closed-form discrepancy table

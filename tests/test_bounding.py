@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braceletrank.bounding import SubwordTable, build_WX, build_XW, dump_tables
+from braceletrank.bounding import SubwordTable, dump_tables
 from braceletrank.words import Alphabet
 from reference import bound_of, code_of
 from util import all_words, enc, is_prenecklace, match_state, naive_min_rotation, period
@@ -56,31 +56,36 @@ def _strict_class(table, l, s):
     return out
 
 
+def _key(s, x):
+    return f"{'bottom' if s is None else s}:{x}"
+
+
 @pytest.mark.parametrize("k,nmax,lmax", [(2, 7, 5), (3, 5, 4)])
 def test_xw_wx_laws(k, nmax, lmax):
     """Every word in a strict-bound class transitions to the same bound."""
     for n in range(1, nmax + 1):
         for v in all_words(n, k):
             t = SubwordTable(v, k)
-            xw, wx = build_XW(t), build_WX(t)
+            dump = dump_tables(t)
             for l in range(1, min(lmax, n - 1) + 1):
+                xw, wx = dump[l - 1]["xw"], dump[l - 1]["wx"]
                 for s in [None] + list(range(len(t.sub[l]))):
                     cls = _strict_class(t, l, s)
                     for x in range(k):
                         for w in cls:
-                            assert bound_of((x,) + w, t, strict=True) == xw[(l, s, x)]
-                            assert bound_of(w + (x,), t, strict=True) == wx[(l, s, x)]
+                            assert bound_of((x,) + w, t, strict=True) == xw[_key(s, x)]
+                            assert bound_of(w + (x,), t, strict=True) == wx[_key(s, x)]
 
 
 def test_table_totality():
     for v in all_words(6, 2):
         t = SubwordTable(v, 2)
-        xw, wx = build_XW(t), build_WX(t)
+        dump = dump_tables(t)
         for l in range(1, 6):
-            for s in [None] + list(range(len(t.sub[l]))):
-                for x in range(2):
-                    assert (l, s, x) in xw
-                    assert (l, s, x) in wx
+            keys = {_key(s, x) for s in [None] + list(range(len(t.sub[l]))) for x in range(2)}
+            assert set(dump[l - 1]["xw"]) == keys
+            assert set(dump[l - 1]["wx"]) == keys
+        assert dump[5]["xw"] == dump[5]["wx"] == {}
 
 
 def test_exact_state_transitions_match_values():

@@ -64,6 +64,31 @@ def test_unrank(capsys):
     assert code == 0 and out.strip() == "bbbbbbbb"
 
 
+def test_unrank_one_based_range(capsys):
+    # the range is reported in the base the index was given in
+    for index in ("0", "31"):
+        code, out, err = run(capsys, "unrank", "--alphabet", "ab", "--length", "8",
+                             "--index", index, "--one-based")
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: rank {index} out of range [1, 30]"
+    code, _, err = run(capsys, "unrank", "--alphabet", "ab", "--length", "8",
+                       "--index", "30")
+    assert code == 1 and err.strip() == "error: rank 30 out of range [0, 30)"
+
+
+@pytest.mark.parametrize("set_", ["bracelet", "necklace", "palindromic", "enclosing"])
+@pytest.mark.parametrize("flag", [None, "--json", "--breakdown"])
+def test_oracle_prints_what_the_ranks_print(capsys, set_, flag):
+    for alphabet, word in (("abcd", "acc"), ("ab", "aabbab"), ("ab", "babbaa"),
+                           ("abc", "cacb"), ("ab", "b")):
+        argv = ["rank", "--alphabet", alphabet, "--word", word, "--set", set_]
+        argv += [flag] if flag else []
+        code, fast, _ = run(capsys, *argv)
+        assert code == 0
+        code, slow, _ = run(capsys, *argv, "--use-oracle")
+        assert code == 0 and slow == fast, (argv, fast, slow)
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--alphabet", "ab", "--length", "8",
                        "--set", "bracelet")
