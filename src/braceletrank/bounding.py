@@ -22,8 +22,11 @@ subwords of length l are the length-l prefixes of the rotations, and
 subword i is the i-th run of adjacent rotations in that order sharing their
 first l symbols.  Per length the table keeps the run of every order
 position and the first position of every run, and each transition is
-rank arithmetic on those arrays: O(n^2) integers in all, and O(k*n^2) more
-once every successor row is filled.
+rank arithmetic on those arrays: O(n^2) integers in all.  Once filled, the
+successor rows add O(k*n^2) integers for the append rows, kept per length
+as they read the symbol after each run, and O(k*n*m) for the prepend rows,
+kept per run structure (m of them): every length whose runs no longer
+split shares one set.
 """
 
 from __future__ import annotations
@@ -82,11 +85,17 @@ class SubwordTable:
 
     Lengths with as many groups as the previous length share its lists: the
     groups only split as l grows, so an equal count means equal groups.
+    The groups at l + 1 follow from those at l, as two rotations share a
+    group at l + 1 iff they start with the same symbol and the rotations
+    after them share a group at l.  So size[l] fixes both first[l] and
+    grp[l + 1], and once size[l + 1] == size[l] the groups never split
+    again.
 
     A table serves one count, kept as an integer (api._counts_upto,
-    enclosing._joint).  It fills its successor rows (_app_cache, _pre_cache:
-    length -> rows) lazily, each a pure function of (p, k) stored in one
-    assignment: concurrent users can at worst build a row twice.
+    enclosing._joint).  It fills its successor rows lazily (_app_cache:
+    length -> rows, _pre_cache: size[l] -> rows), each a pure function of
+    (p, k) stored in one assignment: concurrent users can at worst build a
+    row twice.
     """
 
     def __init__(self, p, k: int):
@@ -153,17 +162,27 @@ class SubwordTable:
             for x in range(self.k):
                 row = [0] * self.width[l]
                 row[::2] = even
-                for j, (lo, hi) in enumerate(runs):
-                    r = bisect_left(sym, x, lo, hi)
-                    row[2 * j + 1] = 2 * grp[r] + (r < hi and sym[r] == x)
+                if self.size[l] == self.n:
+                    # one rotation per run at l and l + 1: run j stays run j
+                    # (code 2j + 1) if it continues with x, else falls on the
+                    # boundary after it (2j + 2, its next symbol below x) or
+                    # before it (2j)
+                    step = [2] * x + [1] + [0] * (self.k - 1 - x)
+                    row[1::2] = [e + step[s] for e, s in zip(even, sym)]
+                else:
+                    for j, (lo, hi) in enumerate(runs):
+                        r = bisect_left(sym, x, lo, hi)
+                        row[2 * j + 1] = 2 * grp[r] + (r < hi and sym[r] == x)
                 rows.append(row)
             self._app_cache[l] = rows
         return rows
 
     def prepend_rows(self, l: int) -> list:
         """rows[x][code]: the code of x.w at length l+1, given the code of
-        w at length l."""
-        rows = self._pre_cache.get(l)
+        w at length l.  They read first[l], grp[l + 1], tail and below
+        alone, so lengths with equal size[l] share them."""
+        key = self.size[l]
+        rows = self._pre_cache.get(key)
         if rows is None:
             first, grp = self.first[l], self.grp[l + 1]
             rows = []
@@ -177,7 +196,7 @@ class SubwordTable:
                 row[::2] = even
                 row[1::2] = [e + (b > a) for e, a, b in zip(even, i, i[1:])]
                 rows.append(row)
-            self._pre_cache[l] = rows
+            self._pre_cache[key] = rows
         return rows
 
 

@@ -222,7 +222,13 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.verb == "rank":
+        if args.breakdown and args.set != "bracelet":
+            parser.error("rank: --breakdown applies to --set bracelet only")
+        if args.budget is not None and not args.use_oracle:
+            parser.error("rank: --budget applies to --use-oracle only")
     try:
         return args.fn(args)
     except BudgetExceededError as e:

@@ -18,19 +18,22 @@ which are k^d less J(p), the words whose rotations and whose reversal's
 all lie above the prenecklace p = f[:d]: a joint DP that walks the word's
 blocks on p's SubwordTable while it tracks its reversal's exact bound code.
 A state is (run position, reverse code); its value is one integer holding,
-in fields of W bits, the count of each longest open match lm of the
-reversal's rotations with p.  No field exceeds d*k^d, the weighted count of
-all words, so W = (d*k^d).bit_length() + 1 bits never carry into the next
-field, and one addition moves every lm at once.  A rotation opens on the
-one word whose code is that of p[1:l] and then lies in field l; at the wrap,
-field lm passes where the final code exceeds the table's wrap[lm].  At d = n
-the table is the floor's, passed down; a proper prefix's table is built only
-when its memoised joint count misses.
+in one bit field per lm, the count of each longest open match lm of the
+reversal's rotations with p.  A rotation opens on the one word whose code
+is that of p[1:l], which then moves to field l, so field l >= 1 holds only
+that word's extensions by d - l symbols and never exceeds d*k^(d-l); field
+0 never exceeds d*k^d, the weighted count of all words.  A field one bit
+wider than its bound needs never carries into the next, and one addition
+moves every lm at once.  At the wrap, field lm passes where the final code
+exceeds the table's wrap[lm].  At d = n the table is the floor's, passed
+down; a proper prefix's table is built only when its memoised joint count
+misses.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .bounding import SubwordTable, cached_table
 from .errors import check
@@ -54,24 +57,30 @@ def _joint_count(table: SubwordTable) -> int:
 
     Reverse: w^R grows at its front, exposing one rotation per symbol, and
     is tracked by its exact bound code b (table.prepend_rows).  A state is
-    (run position r, b); its value is one integer whose field lm, the W
-    bits from lm*W, counts the words whose longest open rotation (still
-    equal to a p-prefix) has length lm.  A field never exceeds the weighted
-    count of all words, d*k^d, so W = (d*k^d).bit_length() + 1 bits keep
-    the fields apart, and one addition moves every lm at once: the code's
-    transition does not depend on lm.  On x = p[0] the new rotation at the
-    front compares the code with p[1:l], the opener: below it drops, and
-    at it, an exact code and so a single word, it opens in field l.  At the
-    wrap, the open rotations are those at the borders m >= 1 of p[:lm], and
-    each compares the final code c with the cyclic subword of p at m: the
-    word passes iff c > T(lm) = table.wrap[lm], the largest
+    (run position r, b); its value is one integer whose field lm, the
+    width[lm] bits from off[lm], counts the words whose longest open
+    rotation (still equal to a p-prefix) has length lm.  On x = p[0] the
+    new rotation at the front compares the code with p[1:l], the opener:
+    below it drops, and at it, an exact code and so a single word, it
+    opens, and the word leaves its field for field l.  So field l >= 1
+    only ever holds the extensions of that one word by d - l symbols, at
+    most k^(d-l) words each weighted by at most d at the last layer, and
+    field 0 at most the weighted count of all words, d*k^d.  Field l is
+    (d*k^(d-l)).bit_length() + 1 bits wide, one bit more than its bound
+    needs, so no field carries into the next, and one addition moves
+    every lm at once: the code's transition does not depend on lm.  At
+    the wrap, the open rotations are those at the borders m >= 1 of
+    p[:lm], and each compares the final code c with the cyclic subword of
+    p at m: the word passes iff c > T(lm) = table.wrap[lm], the largest
     2*pos_id[d][m % d] + 1 over those borders (T(0) = -1).  So the count
     reads field lm of the suffix sum of the final values over the codes
     above T(lm).
     """
     d, k, p = table.n, table.k, table.p
     check(lyndon_prefix(p)[1] == d, "the pattern is not a prenecklace")
-    p0, W = p[0], (d * k ** d).bit_length() + 1
+    p0 = p[0]
+    width = [(d * k ** (d - l)).bit_length() + 1 for l in range(d)]
+    off = list(accumulate(width, initial=0))
     states = {0: {1: 1}}
     for t in range(d):
         l = t + 1  # length of the successors
@@ -95,7 +104,7 @@ def _joint_count(table: SubwordTable) -> int:
                     if fr == p0 and b <= opener:
                         if b < opener:  # the rotation at the front is below p
                             continue
-                        v = 1 << l * W  # one word: its rotation at the front opens
+                        v = 1 << off[l]  # one word: its rotation at the front opens
                     nb = row[b]
                     tgt[nb] = tget(nb, 0) + v
                 nxt[r + 1] = tgt
@@ -108,7 +117,7 @@ def _joint_count(table: SubwordTable) -> int:
         while i < len(codes) and codes[i] > thr:
             acc += final[codes[i]]
             i += 1
-        total += (acc >> lm * W) & ((1 << W) - 1)
+        total += (acc >> off[lm]) & ((1 << width[lm]) - 1)
     return total
 
 

@@ -88,16 +88,53 @@ def test_table_totality():
         assert dump[5]["xw"] == dump[5]["wx"] == {}
 
 
+def _successor(w, k):
+    """The least word of length |w| above w, None if there is none."""
+    i = len(w)
+    while i and w[i - 1] == k - 1:
+        i -= 1
+    return w[:i - 1] + (w[i - 1] + 1,) + (0,) * (len(w) - i) if i else None
+
+
+def _class_words(t, l):
+    """(code, w) for every subword w of length l at its odd code, and for
+    one word w in each non-empty strict class 2b: the least word above
+    subword b - 1 (the word of zeros at b = 0), if it lies below subword b."""
+    subs = list(t.sub[l]) if l else [()]
+    out = [(2 * i + 1, s) for i, s in enumerate(subs)]
+    for b in range(len(subs) + 1):
+        w = _successor(subs[b - 1], t.k) if b else (0,) * l
+        if w is not None and (b == len(subs) or w < subs[b]):
+            out.append((2 * b, w))
+    return out
+
+
+def _rows_match_codes(t):
+    # the successor rows of every length against the codes of the grown
+    # words, read off the sorted subwords alone
+    for l in range(t.n):
+        app, pre = t.append_rows(l), t.prepend_rows(l)
+        for code, w in _class_words(t, l):
+            assert code_of(w, t) == code, (t.p, w)
+            for x in range(t.k):
+                assert app[x][code] == code_of(w + (x,), t), (t.p, l, w, x)
+                assert pre[x][code] == code_of((x,) + w, t), (t.p, l, w, x)
+
+
 def test_exact_state_transitions_match_values():
     for n in range(1, 7):
         for v in all_words(n, 2):
-            t = SubwordTable(v, 2)
-            for l in range(1, n):
-                for i, val in enumerate(t.sub[l]):
-                    exact = 2 * i + 1
-                    for x in range(2):
-                        assert t.append_rows(l)[x][exact] == code_of(val + (x,), t)
-                        assert t.prepend_rows(l)[x][exact] == code_of((x,) + val, t)
+            _rows_match_codes(SubwordTable(v, 2))
+    # long patterns, whose lengths share prepend rows once the runs stop
+    # splitting and whose append rows past the longest repeated subword take
+    # one rotation per run: random words, their floors, and powers, whose
+    # runs never become single rotations
+    rng = random.Random(26)
+    for n, k in ((20, 2), (60, 2), (30, 3), (45, 3), (20, 4), (40, 4)):
+        w = tuple(rng.randrange(k) for _ in range(n))
+        unit = w[:rng.choice([e for e in range(1, n // 2 + 1) if n % e == 0])]
+        for v in (w, naive_min_rotation(w), unit * (n // len(unit))):
+            _rows_match_codes(SubwordTable(v, k))
 
 
 def test_prepend_from_bottom():

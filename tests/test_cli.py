@@ -83,6 +83,13 @@ def test_oracle_prints_what_the_ranks_print(capsys, set_, flag):
                            ("abc", "cacb"), ("ab", "b")):
         argv = ["rank", "--alphabet", alphabet, "--word", word, "--set", set_]
         argv += [flag] if flag else []
+        if flag == "--breakdown" and set_ != "bracelet":
+            # --breakdown splits the bracelet rank alone: both paths refuse it
+            for extra in ([], ["--use-oracle"]):
+                with pytest.raises(SystemExit) as e:
+                    main(argv + extra)
+                assert e.value.code == 2
+            continue
         code, fast, _ = run(capsys, *argv)
         assert code == 0
         code, slow, _ = run(capsys, *argv, "--use-oracle")
@@ -171,3 +178,17 @@ def test_flags_a_verb_ignores_are_refused(capsys, argv):
         main(argv.split())
     assert e.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "rank --alphabet ab --word abab --set necklace --breakdown",
+    "rank --alphabet ab --word abab --budget 1",
+])
+def test_rank_refuses_the_flags_it_would_ignore(capsys, argv):
+    # --breakdown splits the bracelet rank only, and --budget bounds only
+    # the oracle's enumeration (test_oracle_prints_what_the_ranks_print
+    # covers --breakdown with the other sets)
+    with pytest.raises(SystemExit) as e:
+        main(argv.split())
+    assert e.value.code == 2
+    assert "applies to" in capsys.readouterr().err

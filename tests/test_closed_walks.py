@@ -59,6 +59,10 @@ def _large_patterns():
         w = tuple(rng.randrange(k) for _ in range(d))
         out += [(w, k), (naive_min_rotation(w), k)]
     out += [((0,) + (7,) * 29, 8), ((0, 4, 1, 3) * 15, 5)]
+    # a Lyndon word that nearly every word lies above, so that the late
+    # fields of the joint count come close to their bound d*k^(d-l): one
+    # symbol narrower, field l would carry into field l + 1
+    out.append(((0,) * 29 + (1,), 8))
     out = [(p if is_prenecklace(p) else floor_necklace(p, k), k) for p, k in out]
     return [pytest.param(p, k, id=f"{i}-d{len(p)}k{k}") for i, (p, k) in enumerate(out)]
 
