@@ -15,7 +15,9 @@ w equals subword i at code 2i + 1, lies strictly between subwords b-1 and
 b at the even code 2b, and compares with subword i as its code does with
 2i + 1.  The empty word is the one subword of length 0, at code 1.
 The transitions of all codes of one length on every symbol are built
-together, as k successor rows, on the first use of that length.
+together, as k successor rows, on the first use of that length.  A
+finished word of length n passes the wrap when its code exceeds that of
+the rotation of v at its longest border, one threshold per match state.
 
 No subword is stored.  The n rotations of v are sorted once; the cyclic
 subwords of length l are the length-l prefixes of the rotations, and
@@ -33,8 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-
-from .words import _failure
 
 
 class _Subwords:
@@ -73,12 +73,11 @@ class SubwordTable:
             so p[:l] is subword pos_id[l][0]
         below[x]: number of rotations starting with a symbol below x
         tail[x]: sorted order positions of rotation j+1 over j with p[j] = x
-        wrap[j]: the largest code 2*pos_id[n][m % n] + 1 over the borders
-            m >= 1 of p[:j] (its suffixes that are prefixes of p), -1 when
-            there is none: a finished word of length n whose longest suffix
-            matching a prefix of p is p[:j] has every wrapped rotation above
-            p iff its code exceeds wrap[j], as the rotation at border m is
-            p[:m] followed by the word's own prefix
+        wrap[j]: 2*pos_id[n][j % n] + 1, the code of the rotation of p at
+            j, for j >= 1, and -1 at j = 0: for a prenecklace p, a finished
+            word of length n whose longest suffix matching a prefix of p is
+            p[:j] has every wrapped rotation above p iff its code exceeds
+            wrap[j] (see "Wrap thresholds" below)
         size[l], width[l]: S_l and the number of codes (2*S_l + 1) at length
             l; at l = 0 the empty word is the one group, spanning every
             order position
@@ -90,6 +89,24 @@ class SubwordTable:
     after them share a group at l.  So size[l] fixes both first[l] and
     grp[l + 1], and once size[l + 1] == size[l] the groups never split
     again.
+
+    Wrap thresholds.  Let p be a prenecklace and w, of length n, end in
+    p[:j], its longest suffix that is a prefix of p, with u = w[:n-j].  The
+    wrapped rotation of w at a border m >= 1 (a suffix p[:m] of w) is R_m =
+    p[:m].w[:n-m], and R_m > p iff w[:n-m] > p[m:], that is iff w lies
+    above p[m:].p[:m], the rotation of p at m, whose code is
+    2*pos_id[n][m % n] + 1: both end in p[:m].  At j = n, w = p, whose code
+    is wrap[n].  For j < n the borders of w are j and the shorter borders
+    m of p[:j], and R_j > p implies R_m > p for each of them.  R_m =
+    p[:m].u.p[:j-m] is R_j = p[:j].u rotated by j - m.  As p is a
+    prenecklace, its suffix p[j-m:] is at least its prefix p[:n-j+m], and
+    both begin with p[:m] = p[j-m:j], so p[j:] >= p[m:m+n-j].  R_j > p
+    means u > p[j:], so u > p[m:m+n-j], and R_m > p is settled within u.
+    So the longest border decides them all.  The proof reads nothing of
+    the walks but that p is a prenecklace; the walks settle the rotations
+    at the other starts themselves, as each keeps every suffix that is not
+    a prefix of p strictly above the prefix of its length.
+    tests/reference.py still checks the counts at every border.
 
     A table serves one count, kept as an integer (api._counts_upto,
     enclosing._joint).  It fills its successor rows lazily (_app_cache:
@@ -134,9 +151,7 @@ class SubwordTable:
         self.below = [sum(y < x for y in p) for x in range(k)]
         # rotation j is p[j] followed by rotation j+1
         self.tail = [sorted(rank[(j + 1) % n] for j in range(n) if p[j] == x) for x in range(k)]
-        fail, pos, self.wrap = _failure(p), self.pos_id[n], [-1]
-        for j in range(1, n + 1):
-            self.wrap.append(max(2 * pos[j % n] + 1, self.wrap[fail[j]]))
+        self.wrap = [-1] + [2 * self.pos_id[n][j % n] + 1 for j in range(1, n + 1)]
         self.width = [2 * s + 1 for s in self.size]
         self._app_cache, self._pre_cache = {}, {}
 

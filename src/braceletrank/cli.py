@@ -224,11 +224,15 @@ def _parser():
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.verb == "rank":
-        if args.breakdown and args.set != "bracelet":
-            parser.error("rank: --breakdown applies to --set bracelet only")
-        if args.budget is not None and not args.use_oracle:
-            parser.error("rank: --budget applies to --use-oracle only")
+    if args.verb == "rank" and args.breakdown and args.set != "bracelet":
+        parser.error("rank: --breakdown applies to --set bracelet only")
+    if args.verb in ("rank", "count") and args.budget is not None and not args.use_oracle:
+        parser.error(f"{args.verb}: --budget applies to --use-oracle only")
+    if args.verb == "enumerate":
+        if args.word is not None and args.set != "enclosing":
+            parser.error("enumerate: --word applies to --set enclosing only")
+        if args.length is not None and args.set == "enclosing":
+            parser.error("enumerate: --length applies to the sets other than enclosing")
     try:
         return args.fn(args)
     except BudgetExceededError as e:

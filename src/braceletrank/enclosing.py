@@ -25,9 +25,10 @@ that word's extensions by d - l symbols and never exceeds d*k^(d-l); field
 0 never exceeds d*k^d, the weighted count of all words.  A field one bit
 wider than its bound needs never carries into the next, and one addition
 moves every lm at once.  At the wrap, field lm passes where the final code
-exceeds the table's wrap[lm].  At d = n the table is the floor's, passed
-down; a proper prefix's table is built only when its memoised joint count
-misses.
+exceeds the table's wrap[lm], the code of p's rotation at lm: the longest
+open match decides the shorter ones (SubwordTable).  At d = n the table is
+the floor's, passed down; a proper prefix's table is built only when its
+memoised joint count misses.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ def _joint_count(table: SubwordTable) -> int:
     needs, so no field carries into the next, and one addition moves
     every lm at once: the code's transition does not depend on lm.  At
     the wrap, the open rotations are those at the borders m >= 1 of
-    p[:lm], and each compares the final code c with the cyclic subword of
-    p at m: the word passes iff c > T(lm) = table.wrap[lm], the largest
-    2*pos_id[d][m % d] + 1 over those borders (T(0) = -1).  So the count
-    reads field lm of the suffix sum of the final values over the codes
-    above T(lm).
+    p[:lm], and each compares the final code c with the rotation of p at
+    m.  The one at lm decides the others (SubwordTable), so the word passes
+    iff c > T(lm) = table.wrap[lm] = 2*pos_id[d][lm] + 1 (T(0) = -1).  So
+    the count reads field lm of the suffix sum of the final values over the
+    codes above T(lm).
     """
     d, k, p = table.n, table.k, table.p
     check(lyndon_prefix(p)[1] == d, "the pattern is not a prenecklace")

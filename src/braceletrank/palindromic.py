@@ -21,9 +21,11 @@ per layer: an append row, then a prepend row one length up, read at each
 state the walk reaches.  States are grouped as in the joint DP of the
 enclosing module, {j: {code: count}}: j the longest suffix matching a
 v-prefix, code the exact bound code, which may be odd, so the palindromic
-cyclic subwords of v are ordinary states.  A finished word has every
-rotation strictly above v when its code exceeds the table's wrap[j], the
-threshold the joint DP reads at the wrap.
+cyclic subwords of v are ordinary states.  A finished word in match
+state j has every rotation strictly above v iff its code exceeds the
+table's wrap[j], the code of the rotation of v at j: the rotation at the
+longest border decides those at the shorter ones (SubwordTable), and the
+joint DP reads the same thresholds at the wrap.
 
 The forms take the SubwordTable of a necklace representative v.  size_PS
 is the walk at length n; size_PO_PE is the walk at length n-1 plus one

@@ -183,11 +183,16 @@ def test_flags_a_verb_ignores_are_refused(capsys, argv):
 @pytest.mark.parametrize("argv", [
     "rank --alphabet ab --word abab --set necklace --breakdown",
     "rank --alphabet ab --word abab --budget 1",
+    "count --alphabet ab --length 30 --budget 1",
+    "enumerate --alphabet ab --set bracelet --length 3 --word ab",
+    "enumerate --alphabet abc --set enclosing --word acc --length 7",
 ])
 def test_rank_refuses_the_flags_it_would_ignore(capsys, argv):
-    # --breakdown splits the bracelet rank only, and --budget bounds only
-    # the oracle's enumeration (test_oracle_prints_what_the_ranks_print
-    # covers --breakdown with the other sets)
+    # as do count and enumerate: --breakdown splits the bracelet rank only,
+    # --budget bounds only the oracle's enumeration, --word is the query of
+    # the enclosing set alone and --length lists the other sets
+    # (test_oracle_prints_what_the_ranks_print covers --breakdown with the
+    # other sets)
     with pytest.raises(SystemExit) as e:
         main(argv.split())
     assert e.value.code == 2

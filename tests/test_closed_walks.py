@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from braceletrank.bounding import SubwordTable
 from braceletrank.enclosing import _joint_count
 from braceletrank.necklace import _rotation_dp
+from braceletrank.palindromic import size_PO_PE, size_PS
 from braceletrank.words import floor_necklace
-from reference import joint_count_dp, rotation_count_dp
+from reference import chains, joint_count_dp, rotation_count_dp
 from util import (all_words, is_necklace, is_prenecklace, naive_min_rotation, necklace_reps,
                   period, prenecklaces)
 
@@ -42,29 +43,33 @@ def test_every_small_pattern(k, dmax):
 
 
 def _large_patterns():
+    # Each case carries the number it was added under, so a case inserted
+    # anywhere renames no other: a new one takes the next free number.  The
+    # random words come from one seeded stream in the order written, so a
+    # new random case goes after the last draw.
     rng = random.Random(6)
     out = []
-    for k, d in ((2, 60), (2, 45), (3, 40), (4, 30)):
+    for i, k, d in ((0, 2, 60), (2, 2, 45), (4, 3, 40), (6, 4, 30)):
         w = tuple(rng.randrange(k) for _ in range(d))
-        out += [(w, k), (naive_min_rotation(w), k)]
-    for unit, k in (((0, 1), 2), ((0, 0, 1, 0, 1), 2), ((0, 2, 1), 3), ((1, 0, 3), 4)):
-        out.append((unit * (60 // len(unit)), k))
-    out += [((0,) * 60, 2), ((1,) * 60, 2), ((2,) * 40, 3)]
+        out += [(i, w, k), (i + 1, naive_min_rotation(w), k)]
+    for i, unit, k in ((8, (0, 1), 2), (9, (0, 0, 1, 0, 1), 2), (10, (0, 2, 1), 3), (11, (1, 0, 3), 4)):
+        out.append((i, unit * (60 // len(unit)), k))
+    out += [(12, (0,) * 60, 2), (13, (1,) * 60, 2), (14, (2,) * 40, 3)]
     # border chains of depth 59 and 17: a Lyndon word and a periodic necklace
-    out += [((0,) * 59 + (1,), 2), ((0, 0, 0, 1) * 15, 2)]
+    out += [(15, (0,) * 59 + (1,), 2), (16, (0, 0, 0, 1) * 15, 2)]
     # wider alphabets, so wider packed fields in the joint count: random
     # words as above, the floor 0 (k-1)^(d-1) of a word starting with the
     # top symbol, and a power
-    for k, d in ((8, 30), (5, 40)):
+    for i, k, d in ((17, 8, 30), (19, 5, 40)):
         w = tuple(rng.randrange(k) for _ in range(d))
-        out += [(w, k), (naive_min_rotation(w), k)]
-    out += [((0,) + (7,) * 29, 8), ((0, 4, 1, 3) * 15, 5)]
+        out += [(i, w, k), (i + 1, naive_min_rotation(w), k)]
+    out += [(21, (0,) + (7,) * 29, 8), (22, (0, 4, 1, 3) * 15, 5)]
     # a Lyndon word that nearly every word lies above, so that the late
     # fields of the joint count come close to their bound d*k^(d-l): one
     # symbol narrower, field l would carry into field l + 1
-    out.append(((0,) * 29 + (1,), 8))
-    out = [(p if is_prenecklace(p) else floor_necklace(p, k), k) for p, k in out]
-    return [pytest.param(p, k, id=f"{i}-d{len(p)}k{k}") for i, (p, k) in enumerate(out)]
+    out.append((23, (0,) * 29 + (1,), 8))
+    return [pytest.param(p if is_prenecklace(p) else floor_necklace(p, k), k, id=f"{i}-d{len(p)}k{k}")
+            for i, p, k in out]
 
 
 @pytest.mark.parametrize("p,k", _large_patterns())
@@ -102,3 +107,37 @@ def test_divisor_terms_match_definition(k, nmax):
                 assert k ** d - _rotation_dp(p, k) == sum(a <= f for a, _ in powers), (f, d)
                 union = sum(a <= f or b <= f for a, b in powers)
                 assert k ** d - _joint_count(SubwordTable(p, k)) == union, (f, d)
+
+
+def _counts(table):
+    return (_joint_count(table), size_PO_PE(table), size_PS(table) if table.n % 2 == 0 else None)
+
+
+def test_wrap_at_every_border_changes_no_count():
+    # SubwordTable.wrap keeps the threshold of the longest border alone.  The
+    # largest threshold over every border of p[:j] (reference.chains), set on
+    # the same table, must give the same joint and palindromic counts, on
+    # prenecklaces beyond the exhaustive sizes: powers with deep border
+    # chains, and prefixes of length 20, 23, ... of the floors and necklaces
+    # of seeded random words.  Only tables whose two threshold lists differ
+    # are counted; there must be many of them
+    rng = random.Random(28)
+    patterns = [((0, 0, 0, 1) * 15, 2), ((0, 1) * 40, 2), ((0, 0, 1, 0, 1) * 12, 2),
+                ((0, 1, 2) * 20, 3), ((0, 0, 2, 1) * 10, 3), ((0, 3, 1) * 25, 4), ((0,) * 79 + (1,), 2)]
+    for n in range(20, 81, 5):
+        for k in (2, 3, 4):
+            w = tuple(rng.randrange(k) for _ in range(n))
+            for f in (floor_necklace(w, k), naive_min_rotation(w)):
+                patterns += [(f[:d], k) for d in range(20, n + 1, 3)]
+    changed = 0
+    for p, k in patterns:
+        assert is_prenecklace(p), p
+        table = SubwordTable(p, k)
+        pos, n = table.pos_id[table.n], table.n
+        wrap = [max((2 * pos[m % n] + 1 for m in borders), default=-1) for borders in chains(p)]
+        if wrap != table.wrap:
+            changed += 1
+            want = _counts(table)
+            table.wrap = wrap
+            assert _counts(table) == want, (p, k)
+    assert changed >= 150, changed

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -211,18 +212,31 @@ def test_suffix_prefix_match_brute():
 
 
 def test_wrap_thresholds_match_definition():
-    # wrap[j]: the largest 2*pos_id[n][m % n] + 1 over the borders m >= 1 of
-    # p[:j], its suffixes that are prefixes of p, else -1; the palindromic
+    # wrap[j]: the code 2i + 1 of the rotation of p at j, i its index among
+    # the sorted distinct rotations, for j >= 1, else -1; the palindromic
     # walk and the joint count read it at the wrap
     for k, nmax in ((2, 7), (3, 5)):
         for n in range(1, nmax + 1):
             for p in all_words(n, k):
-                table = SubwordTable(p, k)
-                pos = table.pos_id[n]
-                for j in range(n + 1):
-                    want = max((2 * pos[m % n] + 1 for m in range(1, j + 1)
-                                if p[j - m:j] == p[:m]), default=-1)
-                    assert table.wrap[j] == want, (p, j)
+                rots = sorted(set(rotations(p)))
+                want = [-1] + [2 * rots.index(p[j % n:] + p[:j % n]) + 1 for j in range(1, n + 1)]
+                assert SubwordTable(p, k).wrap == want, p
+
+
+@pytest.mark.parametrize("k,nmax", [(2, 8), (3, 5)])
+def test_longest_border_decides_the_wrap(k, nmax):
+    # for a prenecklace p, a word w of length n with longest p-prefix suffix
+    # p[:j] exceeds wrap[j] exactly when its rotation at every border m >= 1
+    # (a suffix p[:m] of w) lies strictly above p
+    for n in range(1, nmax + 1):
+        for p, _ in prenecklaces(n, k):
+            rots, wrap = sorted(set(rotations(p))), SubwordTable(p, k).wrap
+            for w in all_words(n, k):
+                borders = [m for m in range(1, n + 1) if w[n - m:] == p[:m]]
+                i = bisect_left(rots, w)
+                code = 2 * i + (i < len(rots) and rots[i] == w)
+                want = all(w[n - m:] + w[:n - m] > p for m in borders)
+                assert (code > wrap[max(borders, default=0)]) == want, (p, w)
 
 
 def test_empty_words_rejected():
