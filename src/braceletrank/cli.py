@@ -1,5 +1,9 @@
 """Command-line interface: rank, unrank, count, enumerate, verify, tables.
 
+Two tables declare it: VERBS gives each verb its handler, help text and
+flags, and FLAGS gives each flag its argparse spec, so a flag that several
+verbs take is declared once.
+
 Exit codes: 0 success, 1 validation error, 2 verification failure,
 3 enumeration budget exceeded.  All counts print in full decimal.
 """
@@ -34,123 +38,90 @@ def _budget(args):
     return int(env) if env else None
 
 
-# the bracelet set's ranks, in print order: those of its three parts, then its own
-_PARTS = {"rn": "necklace", "rp": "palindromic", "re": "enclosing", "rb": "bracelet"}
+def _print(args, doc, lines):
+    """Print doc as JSON under --json, else each of lines."""
+    for line in [json.dumps(doc)] if args.json else lines:
+        print(line)
 
 
-def _ranks(args, word, k) -> dict:
-    """{field: rank}: rn/rp/re/rb for the bracelet set, {set: rank} for
-    the others; by brute-force enumeration under --use-oracle."""
-    sets = _PARTS if args.set == "bracelet" else {args.set: args.set}
+# the bracelet set's ranks in print order, its parts' then its own, with their oracle kinds
+_PARTS = {"rn": "necklace", "rp": "palindromic_necklace", "re": "enclosing", "rb": "bracelet"}
+
+
+def _cmd_rank(args, alphabet):
+    """rn/rp/re/rb for the bracelet set, the set's own rank for the others;
+    by brute-force enumeration under --use-oracle."""
+    word, k = alphabet.encode(args.word), alphabet.k
     if args.use_oracle:
-        budget = _budget(args)
-        return {f: oracle.oracle_rank(_SET_TO_KIND[s], word, k, budget) for f, s in sets.items()}
-    if args.set == "bracelet":
+        kinds = _PARTS if args.set == "bracelet" else {args.set: _SET_TO_KIND[args.set]}
+        ranks = {f: oracle.oracle_rank(kind, word, k, _budget(args)) for f, kind in kinds.items()}
+    elif args.set == "bracelet":
         bd = rank_bracelet(word, k)
-        return {f: getattr(bd, f) for f in _PARTS}
-    fn = {"necklace": rank_necklaces, "palindromic": rank_palindromic,
-          "enclosing": rank_enclosing}[args.set]
-    return {args.set: fn(word, k)}
-
-
-def _cmd_rank(args):
-    alphabet = Alphabet(args.alphabet)
-    word = alphabet.encode(args.word)
-    ranks = _ranks(args, word, alphabet.k)
-    if args.json:
-        print(json.dumps({"word": args.word, "n": len(word), "k": alphabet.k,
-                          **{f: str(r) for f, r in ranks.items()}}))
-    elif args.breakdown and args.set == "bracelet":
-        print(" ".join(f"{f}={r}" for f, r in ranks.items()))
+        ranks = {f: getattr(bd, f) for f in _PARTS}
     else:
-        print(ranks["rb" if args.set == "bracelet" else args.set])
-    return 0
+        fn = {"necklace": rank_necklaces, "palindromic": rank_palindromic,
+              "enclosing": rank_enclosing}[args.set]
+        ranks = {args.set: fn(word, k)}
+    text = (" ".join(f"{f}={r}" for f, r in ranks.items()) if args.breakdown
+            else ranks["rb" if args.set == "bracelet" else args.set])
+    doc = {"word": args.word, "n": len(word), "k": k, **{f: str(r) for f, r in ranks.items()}}
+    _print(args, doc, [text])
 
 
-def _cmd_unrank(args):
-    alphabet = Alphabet(args.alphabet)
+def _cmd_unrank(args, alphabet):
     if args.one_based:
         total = count_bracelets(args.length, alphabet.k)
         if not 1 <= args.index <= total:
             raise ValueError(f"rank {args.index} out of range [1, {total}]")
-    word = unrank_bracelet(args.index - args.one_based, args.length, alphabet.k)
-    text = alphabet.decode(word)
-    if args.json:
-        print(json.dumps({"index": args.index, "n": args.length,
-                          "k": alphabet.k, "word": text}))
-    else:
-        print(text)
-    return 0
+    text = alphabet.decode(unrank_bracelet(args.index - args.one_based, args.length, alphabet.k))
+    _print(args, {"index": args.index, "n": args.length, "k": alphabet.k, "word": text}, [text])
 
 
-def _cmd_count(args):
-    alphabet = Alphabet(args.alphabet)
+def _cmd_count(args, alphabet):
     k, n = alphabet.k, args.length
-    kind = _SET_TO_KIND[args.set]
-    if kind == "enclosing":
+    if args.set == "enclosing":
         raise ValueError("counting 'enclosing' needs a word; use rank --set enclosing")
-    if args.use_oracle:
-        print(len(oracle.enumerate_class(kind, n, k, _budget(args))))
-    else:
-        count = {"bracelet": count_bracelets, "necklace": count_necklaces,
-                 "palindromic": total_palindromic}[args.set]
-        print(count(n, k))
-    return 0
+    count = {"bracelet": count_bracelets, "necklace": count_necklaces,
+             "palindromic": total_palindromic}[args.set]
+    print(len(oracle.enumerate_class(_SET_TO_KIND[args.set], n, k, _budget(args))) if args.use_oracle
+          else count(n, k))
 
 
-def _cmd_enumerate(args):
-    alphabet = Alphabet(args.alphabet)
-    kind = _SET_TO_KIND[args.set]
-    if kind == "enclosing":
+def _cmd_enumerate(args, alphabet):
+    if args.set == "enclosing":
         if not args.word:
             raise ValueError("--set enclosing needs --word")
-        word = alphabet.encode(args.word)
-        reps = oracle.oracle_enclosing(word, alphabet.k, _budget(args))
+        reps = oracle.oracle_enclosing(alphabet.encode(args.word), alphabet.k, _budget(args))
     else:
         if args.length is None:
             raise ValueError("--length is required")
-        reps = oracle.enumerate_class(kind, args.length, alphabet.k, _budget(args))
+        reps = oracle.enumerate_class(_SET_TO_KIND[args.set], args.length, alphabet.k, _budget(args))
     texts = [alphabet.decode(r) for r in reps]
-    if args.json:
-        print(json.dumps(texts))
-    else:
-        for t in texts:
-            print(t)
-    return 0
+    _print(args, texts, texts)
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, alphabet):
     """Compare the polynomial ranks against the oracle for every word."""
-    alphabet = Alphabet(args.alphabet)
     k, n = alphabet.k, args.length
-    budget = _budget(args)
-    neck = oracle.enumerate_class("necklace", n, k, budget)
-    pal = oracle.enumerate_class("palindromic_necklace", n, k, budget)
-    brac = oracle.enumerate_class("bracelet", n, k, budget)
+    neck, pal, brac = (oracle.enumerate_class(kind, n, k, _budget(args))
+                       for kind in ("necklace", "palindromic_necklace", "bracelet"))
     enclosing = oracle.enclosing_counter(neck)
-    checked = 0
     for w in itertools.product(range(k), repeat=n):
-        bd = rank_bracelet(w, k)
         want = (bisect_left(neck, w), bisect_left(pal, w), enclosing(w), bisect_left(brac, w))
-        got = (bd.rn, bd.rp, bd.re, bd.rb)
+        got = tuple(getattr(rank_bracelet(w, k), f) for f in _PARTS)
         if got != want:
             print(f"FAIL at {alphabet.decode(w)}: got rn/rp/re/rb={got}, oracle={want}")
             return 2
-        checked += 1
-    print(f"PASS ({checked} words, n={n}, k={k})")
-    return 0
+    print(f"PASS ({k ** n} words, n={n}, k={k})")
 
 
-def _cmd_tables(args):
-    alphabet = Alphabet(args.alphabet)
-    word = alphabet.encode(args.word)
-    k = alphabet.k
+def _cmd_tables(args, alphabet):
+    word, k = alphabet.encode(args.word), alphabet.k
     out = {"word": args.word, "tables": dump_tables(SubwordTable(word, k), alphabet)}
     if args.se:
-        se = build_SE(word, k)
         out["se"] = [
             {"x": alphabet.symbols[x], "i": i, "j": j, "s": list(s), "count": c}
-            for (x, i, j, s), c in sorted(se.items())
+            for (x, i, j, s), c in sorted(build_SE(word, k).items())
         ]
     if args.layers:
         out["layers"] = [
@@ -158,66 +129,51 @@ def _cmd_tables(args):
             for (i, j, s), c in sorted(layer_counts(word, k).items())
         ]
     print(json.dumps(out))
-    return 0
+
+
+# verb -> (handler(args, alphabet), returning a nonzero exit code or None;
+# help; the flags after --alphabet in --help order, "!" marking a required one)
+VERBS = {
+    "rank": (_cmd_rank, "rank a word within a class",
+             "--word! --set --json --budget --breakdown --use-oracle"),
+    "unrank": (_cmd_unrank, "bracelet representative of a rank",
+               "--length! --index! --json --one-based"),
+    "count": (_cmd_count, "count a class", "--length! --set --budget --use-oracle"),
+    "enumerate": (_cmd_enumerate, "list class representatives (oracle)",
+                  "--set --json --budget --length --word"),
+    "verify": (_cmd_verify, "oracle-equivalence sweep over all words", "--length! --budget"),
+    "tables": (_cmd_tables, "dump subword/bounding tables as JSON", "--word! --se --layers"),
+}
+
+# flag -> argparse spec; help is formatted with the verb's name, or is a
+# {verb: help} dict where the flag means something else to each verb
+FLAGS = {
+    "--alphabet": dict(help="ordered symbols, e.g. 'ab' or 'abcd'"),
+    "--word": dict(help={"enumerate": "query word for --set enclosing"}),
+    "--length": dict(type=int, help={"enumerate": "word length (classes by length)"}),
+    "--index": dict(type=int),
+    "--set": dict(choices=SETS, default="bracelet"),
+    "--json": dict(action="store_true"),
+    "--budget": dict(type=int, help="enumeration budget (default 2^24; env BRACELET_BUDGET)"),
+    "--breakdown": dict(action="store_true", help="print rn/rp/re/rb for the bracelet set"),
+    "--use-oracle": dict(action="store_true", help="{verb} by brute-force enumeration instead"),
+    "--one-based": dict(action="store_true", help="treat --index as 1-based"),
+    "--se": dict(action="store_true", help="include suffix-state cells"),
+    "--layers": dict(action="store_true", help="include layer counts"),
+}
 
 
 def _parser():
     p = argparse.ArgumentParser(prog="braceletrank",
                                 description="Rank and unrank bracelets.")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def common(sp, word=False, length=False, index=False, set_arg=False, as_json=False,
-               budget=False):
-        sp.add_argument("--alphabet", required=True,
-                        help="ordered symbols, e.g. 'ab' or 'abcd'")
-        if word:
-            sp.add_argument("--word", required=True)
-        if length:
-            sp.add_argument("--length", type=int, required=True)
-        if index:
-            sp.add_argument("--index", type=int, required=True)
-        if set_arg:
-            sp.add_argument("--set", choices=SETS, default="bracelet")
-        if as_json:
-            sp.add_argument("--json", action="store_true")
-        if budget:
-            sp.add_argument("--budget", type=int, default=None,
-                            help="enumeration budget (default 2^24; env BRACELET_BUDGET)")
-
-    sp = sub.add_parser("rank", help="rank a word within a class")
-    common(sp, word=True, set_arg=True, as_json=True, budget=True)
-    sp.add_argument("--breakdown", action="store_true",
-                    help="print rn/rp/re/rb for the bracelet set")
-    sp.add_argument("--use-oracle", action="store_true",
-                    help="rank by brute-force enumeration instead")
-    sp.set_defaults(fn=_cmd_rank)
-
-    sp = sub.add_parser("unrank", help="bracelet representative of a rank")
-    common(sp, length=True, index=True, as_json=True)
-    sp.add_argument("--one-based", action="store_true",
-                    help="treat --index as 1-based")
-    sp.set_defaults(fn=_cmd_unrank)
-
-    sp = sub.add_parser("count", help="count a class")
-    common(sp, length=True, set_arg=True, budget=True)
-    sp.add_argument("--use-oracle", action="store_true")
-    sp.set_defaults(fn=_cmd_count)
-
-    sp = sub.add_parser("enumerate", help="list class representatives (oracle)")
-    common(sp, set_arg=True, as_json=True, budget=True)
-    sp.add_argument("--length", type=int, help="word length (classes by length)")
-    sp.add_argument("--word", help="query word for --set enclosing")
-    sp.set_defaults(fn=_cmd_enumerate)
-
-    sp = sub.add_parser("verify", help="oracle-equivalence sweep over all words")
-    common(sp, length=True, budget=True)
-    sp.set_defaults(fn=_cmd_verify)
-
-    sp = sub.add_parser("tables", help="dump subword/bounding tables as JSON")
-    common(sp, word=True)
-    sp.add_argument("--se", action="store_true", help="include suffix-state cells")
-    sp.add_argument("--layers", action="store_true", help="include layer counts")
-    sp.set_defaults(fn=_cmd_tables)
+    for verb, (_, about, flags) in VERBS.items():
+        sp = sub.add_parser(verb, help=about)
+        for flag in ("--alphabet!", *flags.split()):
+            name = flag.rstrip("!")
+            h = FLAGS[name].get("help")
+            h = h.get(verb) if isinstance(h, dict) else h and h.format(verb=verb)
+            sp.add_argument(name, **{**FLAGS[name], "required": name != flag, "help": h})
     return p
 
 
@@ -234,13 +190,10 @@ def main(argv=None) -> int:
         if args.length is not None and args.set == "enclosing":
             parser.error("enumerate: --length applies to the sets other than enclosing")
     try:
-        return args.fn(args)
-    except BudgetExceededError as e:
+        return VERBS[args.verb][0](args, Alphabet(args.alphabet)) or 0
+    except (BudgetExceededError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(e, BudgetExceededError) else 1
 
 
 if __name__ == "__main__":

@@ -86,18 +86,15 @@ def _check_nonempty(w: Word):
 
 def min_rotation(w: Word) -> Word:
     """Lexicographically smallest rotation: Duval's Lyndon factorisation
-    scan over w + w, where it starts at the last run of equal factors that
-    begins before |w|."""
+    of w + w, one lyndon_prefix scan per run of equal factors, where it
+    starts at the last such run that begins before |w|."""
     _check_nonempty(w)
     n, s = len(w), w + w
     i = best = 0
     while i < n:
-        best, j, m = i, i + 1, i
-        while j < 2 * n and s[m] <= s[j]:
-            m = i if s[m] < s[j] else m + 1
-            j += 1
-        while i <= m:
-            i += j - m
+        best = i
+        p, j = lyndon_prefix(s, i)  # s[i:j] is a run of factors s[i:i + p], then a prefix of one
+        i += (j - i) // p * p
     return w[best:] + w[:best]
 
 
@@ -125,16 +122,16 @@ def _failure(v: Word) -> list:
     return fail
 
 
-def lyndon_prefix(w: Word) -> tuple:
-    """Duval's scan: (p, i), p the length of w's longest Lyndon prefix and i
-    where a symbol first drops below its copy p places back, else len(w),
-    which makes w a prenecklace; a necklace when p also divides len(w)."""
-    n, p, i = len(w), 1, 1
-    while i < n and w[i] >= w[i - p]:
-        if w[i] > w[i - p]:
-            p = i + 1
+def lyndon_prefix(w: Word, start: int = 0) -> tuple:
+    """Duval's scan of w[start:]: (p, i), p the length of its longest
+    Lyndon prefix and i where a symbol first drops below its copy p places
+    back, else len(w), which makes w[start:] a prenecklace; a necklace when
+    p also divides len(w) - start."""
+    n, m, i = len(w), start, start + 1  # w[m] is w[i]'s copy, p = i - m places back
+    while i < n and w[m] <= w[i]:
+        m = start if w[m] < w[i] else m + 1
         i += 1
-    return p, i
+    return i - m, i
 
 
 def at_most_reversal(w, runs) -> bool:

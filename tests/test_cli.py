@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from braceletrank.cli import main
+from braceletrank.cli import _parser, main
 
 # `tables` output, plain and with --se --layers, for four necklaces (k = 2
 # aperiodic and periodic, k = 3, k = 4), recorded from the implementation
@@ -164,20 +164,63 @@ def test_budget_env(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--alphabet", "ab", "--length", "10",
                        "--set", "necklace")
     assert code == 3
+    # the variable bounds the oracle alone: a plain rank neither refuses it,
+    # as it refuses --budget, nor enumerates, which a budget of 1 would stop
+    rank = ["rank", "--alphabet", "ab", "--word", "abababab"]
+    monkeypatch.setenv("BRACELET_BUDGET", "1")
+    assert run(capsys, *rank) == (0, "22\n", "")
+    assert run(capsys, *rank, "--use-oracle") == (3, "", "error: 2^8 words exceed budget 1\n")
+    # --budget beats the variable, both ways
+    assert run(capsys, *rank, "--use-oracle", "--budget", "256") == (0, "22\n", "")
+    monkeypatch.setenv("BRACELET_BUDGET", "256")
+    assert run(capsys, *rank, "--use-oracle", "--budget", "255") == (
+        3, "", "error: 2^8 words exceed budget 255\n")
 
 
-@pytest.mark.parametrize("argv", [
-    "count --alphabet ab --length 4 --json",
-    "verify --alphabet ab --length 4 --json",
-    "tables --alphabet ab --word aabb --json",
-    "tables --alphabet ab --word aabb --budget 100",
-    "unrank --alphabet ab --length 4 --index 0 --budget 100",
-])
+# each verb's flags, written out apart from the CLI's own table, after the
+# argv its cases start from (which holds the verb's required flags)
+DECLARED = {
+    "rank": ("rank --alphabet ab --word abab",
+             "--alphabet --word --set --json --budget --breakdown --use-oracle"),
+    "unrank": ("unrank --alphabet ab --length 4 --index 0",
+               "--alphabet --length --index --json --one-based"),
+    "count": ("count --alphabet ab --length 4", "--alphabet --length --set --budget --use-oracle"),
+    "enumerate": ("enumerate --alphabet ab", "--alphabet --set --json --budget --length --word"),
+    "verify": ("verify --alphabet ab --length 4", "--alphabet --length --budget"),
+    "tables": ("tables --alphabet ab --word aabb", "--alphabet --word --se --layers"),
+}
+ALL_FLAGS = ("--alphabet --word --length --index --set --json --budget --breakdown --use-oracle "
+             "--one-based --se --layers")
+# a value for each flag that takes one; the others are switches
+VALUES = {"--alphabet": "abc", "--word": "ba", "--length": "3", "--index": "1", "--set": "necklace",
+          "--budget": "100"}
+
+
+def _flag_matrix(declared):
+    """base + flag (+ value) for each verb and each flag it declares, or not."""
+    return [f"{base} {flag} {VALUES.get(flag, '')}".rstrip()
+            for base, flags in DECLARED.values() for flag in ALL_FLAGS.split()
+            if (flag in flags.split()) == declared]
+
+
+@pytest.mark.parametrize("argv", _flag_matrix(declared=False))
 def test_flags_a_verb_ignores_are_refused(capsys, argv):
+    verb, flag = argv.split()[0], [t for t in argv.split() if t.startswith("--")][-1]
     with pytest.raises(SystemExit) as e:
         main(argv.split())
     assert e.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # argparse reads a flag that begins a declared one as that one: --se as --set
+    longer = [d for d in DECLARED[verb][1].split() if d.startswith(flag)]
+    assert (f"argument {longer[0]}: expected one argument" if longer else
+            f"unrecognized arguments: {flag}") in err
+
+
+@pytest.mark.parametrize("argv", _flag_matrix(declared=True))
+def test_flags_a_verb_declares_parse(argv):
+    flag = [t for t in argv.split() if t.startswith("--")][-1]
+    args = _parser().parse_args(argv.split())
+    assert str(getattr(args, flag[2:].replace("-", "_"))) == VALUES.get(flag, "True")
 
 
 @pytest.mark.parametrize("argv", [
