@@ -1,8 +1,9 @@
 """Command-line interface: rank, unrank, count, enumerate, verify, tables.
 
-Two tables declare it: VERBS gives each verb its handler, help text and
-flags, and FLAGS gives each flag its argparse spec, so a flag that several
-verbs take is declared once.
+Three tables declare it: SETS gives each set its oracle kind, rank and
+count, VERBS gives each verb its handler, help text and flags, and FLAGS
+gives each flag its argparse spec, so a flag that several verbs take is
+declared once.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure,
 3 enumeration budget exceeded.  All counts print in full decimal.
@@ -15,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from bisect import bisect_left
+from operator import attrgetter
 
 from . import oracle
 from .api import count_bracelets, rank_bracelet, unrank_bracelet
@@ -26,16 +27,26 @@ from .oracle import BudgetExceededError
 from .palindromic import layer_counts, rank_palindromic, total_palindromic
 from .words import Alphabet
 
-SETS = ("bracelet", "necklace", "palindromic", "enclosing")
+# set -> (its oracle kind, its single-set rank, its count); --set lists them
+# in this order, and the enclosing set, which a word defines, has no count
+SETS = {"bracelet": ("bracelet", rank_bracelet, count_bracelets),
+        "necklace": ("necklace", rank_necklaces, count_necklaces),
+        "palindromic": ("palindromic_necklace", rank_palindromic, total_palindromic),
+        "enclosing": ("enclosing", rank_enclosing, None)}
 
-_SET_TO_KIND = dict(zip(SETS, ("bracelet", "necklace", "palindromic_necklace", "enclosing")))
+# the bracelet set's ranks in print order, its parts' then its own, as
+# RankBreakdown names them and oracle._ranker returns them
+_PARTS = ("rn", "rp", "re", "rb")
 
 
 def _budget(args):
     if args.budget is not None:
         return args.budget
     env = os.environ.get("BRACELET_BUDGET")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ValueError(f"BRACELET_BUDGET must be an integer, not {env!r}") from None
 
 
 def _print(args, doc, lines):
@@ -44,24 +55,17 @@ def _print(args, doc, lines):
         print(line)
 
 
-# the bracelet set's ranks in print order, its parts' then its own, with their oracle kinds
-_PARTS = {"rn": "necklace", "rp": "palindromic_necklace", "re": "enclosing", "rb": "bracelet"}
-
-
 def _cmd_rank(args, alphabet):
     """rn/rp/re/rb for the bracelet set, the set's own rank for the others;
     by brute-force enumeration under --use-oracle."""
     word, k = alphabet.encode(args.word), alphabet.k
-    if args.use_oracle:
-        kinds = _PARTS if args.set == "bracelet" else {args.set: _SET_TO_KIND[args.set]}
-        ranks = {f: oracle.oracle_rank(kind, word, k, _budget(args)) for f, kind in kinds.items()}
-    elif args.set == "bracelet":
-        bd = rank_bracelet(word, k)
-        ranks = {f: getattr(bd, f) for f in _PARTS}
+    kind, rank, _ = SETS[args.set]
+    if args.set != "bracelet":
+        ranks = {args.set: oracle.oracle_rank(kind, word, k, _budget(args)) if args.use_oracle
+                 else rank(word, k)}
     else:
-        fn = {"necklace": rank_necklaces, "palindromic": rank_palindromic,
-              "enclosing": rank_enclosing}[args.set]
-        ranks = {args.set: fn(word, k)}
+        ranks = dict(zip(_PARTS, oracle._ranker(len(word), k, _budget(args))(word) if args.use_oracle
+                         else attrgetter(*_PARTS)(rank(word, k))))
     text = (" ".join(f"{f}={r}" for f, r in ranks.items()) if args.breakdown
             else ranks["rb" if args.set == "bracelet" else args.set])
     doc = {"word": args.word, "n": len(word), "k": k, **{f: str(r) for f, r in ranks.items()}}
@@ -78,13 +82,11 @@ def _cmd_unrank(args, alphabet):
 
 
 def _cmd_count(args, alphabet):
+    kind, _, count = SETS[args.set]
     k, n = alphabet.k, args.length
-    if args.set == "enclosing":
+    if count is None:
         raise ValueError("counting 'enclosing' needs a word; use rank --set enclosing")
-    count = {"bracelet": count_bracelets, "necklace": count_necklaces,
-             "palindromic": total_palindromic}[args.set]
-    print(len(oracle.enumerate_class(_SET_TO_KIND[args.set], n, k, _budget(args))) if args.use_oracle
-          else count(n, k))
+    print(len(oracle.enumerate_class(kind, n, k, _budget(args))) if args.use_oracle else count(n, k))
 
 
 def _cmd_enumerate(args, alphabet):
@@ -95,7 +97,7 @@ def _cmd_enumerate(args, alphabet):
     else:
         if args.length is None:
             raise ValueError("--length is required")
-        reps = oracle.enumerate_class(_SET_TO_KIND[args.set], args.length, alphabet.k, _budget(args))
+        reps = oracle.enumerate_class(SETS[args.set][0], args.length, alphabet.k, _budget(args))
     texts = [alphabet.decode(r) for r in reps]
     _print(args, texts, texts)
 
@@ -103,12 +105,9 @@ def _cmd_enumerate(args, alphabet):
 def _cmd_verify(args, alphabet):
     """Compare the polynomial ranks against the oracle for every word."""
     k, n = alphabet.k, args.length
-    neck, pal, brac = (oracle.enumerate_class(kind, n, k, _budget(args))
-                       for kind in ("necklace", "palindromic_necklace", "bracelet"))
-    enclosing = oracle.enclosing_counter(neck)
+    ranks = oracle._ranker(n, k, _budget(args))
     for w in itertools.product(range(k), repeat=n):
-        want = (bisect_left(neck, w), bisect_left(pal, w), enclosing(w), bisect_left(brac, w))
-        got = tuple(getattr(rank_bracelet(w, k), f) for f in _PARTS)
+        got, want = attrgetter(*_PARTS)(rank_bracelet(w, k)), ranks(w)
         if got != want:
             print(f"FAIL at {alphabet.decode(w)}: got rn/rp/re/rb={got}, oracle={want}")
             return 2
@@ -164,11 +163,11 @@ FLAGS = {
 
 
 def _parser():
-    p = argparse.ArgumentParser(prog="braceletrank",
-                                description="Rank and unrank bracelets.")
+    p = argparse.ArgumentParser(prog="braceletrank", description="Rank and unrank bracelets.",
+                                allow_abbrev=False)
     sub = p.add_subparsers(dest="verb", required=True)
     for verb, (_, about, flags) in VERBS.items():
-        sp = sub.add_parser(verb, help=about)
+        sp = sub.add_parser(verb, help=about, allow_abbrev=False)
         for flag in ("--alphabet!", *flags.split()):
             name = flag.rstrip("!")
             h = FLAGS[name].get("help")

@@ -1,8 +1,12 @@
 """Brute-force ground truth by exhaustive enumeration.
 
-Everything here scans all k^n words, canonicalizes, and counts directly;
-it exists to validate the polynomial counting routines at desk scale.
-Inputs are checked like those of the polynomial entry points.
+One scan of all k^n words lists the necklace representatives, with one
+min_rotation per word.  Every other class is read off each representative w
+and g = min_rotation(w[::-1]), the representative of its reversal: w is a
+bracelet representative when g >= w, a palindromic one when g == w, and the
+smaller side of a mirror pair when g > w.  It exists to validate the
+polynomial counting routines at desk scale.  Inputs are checked like those
+of the polynomial entry points.
 """
 
 from __future__ import annotations
@@ -10,14 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 
-from .words import (
-    alphabet_size,
-    as_index,
-    bracelet_representative,
-    is_palindromic_necklace,
-    min_rotation,
-    validate_word,
-)
+from .words import alphabet_size, as_index, min_rotation, validate_word
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -28,60 +25,59 @@ class BudgetExceededError(Exception):
     """Raised when an enumeration would scan more than the word budget."""
 
 
-def _check_budget(n, k, budget):
-    budget = DEFAULT_BUDGET if budget is None else budget
+def _necklaces(n, k, budget) -> list:
+    """Sorted necklace representatives of length n over k symbols, after
+    checking n, k and the budget of k^n words."""
+    n, k = as_index(n, "length"), alphabet_size(k)
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    budget = DEFAULT_BUDGET if budget is None else as_index(budget, "budget")
     if k ** n > budget:
         raise BudgetExceededError(f"{k}^{n} words exceed budget {budget}")
+    return [w for w in itertools.product(range(k), repeat=n) if min_rotation(w) == w]
 
 
-def _words(n, k):
-    return itertools.product(range(k), repeat=n)
+def _mirrored(n, k, budget) -> list:
+    """The pairs (w, g) of each necklace representative w, in order, and the
+    representative g of its reversal."""
+    return [(w, min_rotation(w[::-1])) for w in _necklaces(n, k, budget)]
 
 
 def enumerate_class(kind: str, n: int, k: int, budget: int | None = None) -> list:
     """Sorted list of representatives of the given class."""
     if kind not in KINDS:
         raise ValueError(f"unknown class kind {kind!r}")
-    n, k = as_index(n, "length"), alphabet_size(k)
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    _check_budget(n, k, budget)
-    out = []
-    for w in _words(n, k):
-        if kind == "necklace":
-            if min_rotation(w) == w:
-                out.append(w)
-        elif kind == "bracelet":
-            if bracelet_representative(w) == w:
-                out.append(w)
-        else:
-            if min_rotation(w) == w and is_palindromic_necklace(w):
-                out.append(w)
-    return out
-
-
-def _mirror_pairs(necklaces: list) -> list:
-    """The pairs (w, g) of a necklace representative w given and the
-    representative g of its reversal, where g > w."""
-    return [(w, g) for w in necklaces for g in [min_rotation(w[::-1])] if g > w]
+    if kind == "necklace":
+        return _necklaces(n, k, budget)
+    return [w for w, g in _mirrored(n, k, budget) if (g >= w if kind == "bracelet" else g == w)]
 
 
 def oracle_enclosing(v, k: int, budget: int | None = None) -> list:
     """Sorted bracelet representatives whose two necklace representatives
     strictly straddle v."""
     v, k = validate_word(v, k)
-    pairs = _mirror_pairs(enumerate_class("necklace", len(v), k, budget))
-    return [w for w, g in pairs if w < v < g]
+    return [w for w, g in _mirrored(len(v), k, budget) if w < v < g]
 
 
-def enclosing_counter(necklaces: list):
-    """v -> len(oracle_enclosing(v, k)) for the words v of the length of the
-    sorted necklace representatives given: over the pairs w < g of a
-    representative and that of its reversal, #{w < v} - #{g <= v}."""
-    pairs = _mirror_pairs(necklaces)
-    lo = [w for w, _ in pairs]
-    hi = sorted(g for _, g in pairs)
-    return lambda v: bisect_left(lo, v) - bisect_right(hi, v)
+def _ranker(n, k, budget=None):
+    """v -> (rn, rp, re, rb) for any word v of length n, each by bisection:
+    the necklace, palindromic and bracelet representatives below v, and the
+    bracelets enclosing v.  Over the mirror pairs w < g, re is
+    #{w < v} - #{g <= v} and rb is rp + #{w < v}."""
+    necklaces, pal, lo, hi = [], [], [], []
+    for w, g in _mirrored(n, k, budget):
+        necklaces.append(w)
+        if g == w:
+            pal.append(w)
+        elif g > w:
+            lo.append(w)
+            hi.append(g)
+    hi.sort()
+
+    def ranks(v):
+        rp, below = bisect_left(pal, v), bisect_left(lo, v)
+        return bisect_left(necklaces, v), rp, below - bisect_right(hi, v), rp + below
+    return ranks
 
 
 def oracle_rank(kind: str, v, k: int, budget: int | None = None) -> int:
@@ -92,4 +88,3 @@ def oracle_rank(kind: str, v, k: int, budget: int | None = None) -> int:
         return len(oracle_enclosing(v, k, budget))
     reps = enumerate_class(kind, len(v), k, budget)
     return bisect_left(reps, v)
-

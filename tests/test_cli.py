@@ -175,6 +175,10 @@ def test_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("BRACELET_BUDGET", "256")
     assert run(capsys, *rank, "--use-oracle", "--budget", "255") == (
         3, "", "error: 2^8 words exceed budget 255\n")
+    # a variable that is no integer is named in the error
+    monkeypatch.setenv("BRACELET_BUDGET", "abc")
+    assert run(capsys, "enumerate", "--alphabet", "ab", "--length", "3", "--set", "necklace") == (
+        1, "", "error: BRACELET_BUDGET must be an integer, not 'abc'\n")
 
 
 # each verb's flags, written out apart from the CLI's own table, after the
@@ -205,15 +209,11 @@ def _flag_matrix(declared):
 
 @pytest.mark.parametrize("argv", _flag_matrix(declared=False))
 def test_flags_a_verb_ignores_are_refused(capsys, argv):
-    verb, flag = argv.split()[0], [t for t in argv.split() if t.startswith("--")][-1]
+    flag = [t for t in argv.split() if t.startswith("--")][-1]
     with pytest.raises(SystemExit) as e:
         main(argv.split())
     assert e.value.code == 2
-    err = capsys.readouterr().err
-    # argparse reads a flag that begins a declared one as that one: --se as --set
-    longer = [d for d in DECLARED[verb][1].split() if d.startswith(flag)]
-    assert (f"argument {longer[0]}: expected one argument" if longer else
-            f"unrecognized arguments: {flag}") in err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", _flag_matrix(declared=True))

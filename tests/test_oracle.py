@@ -1,13 +1,16 @@
+from bisect import bisect_left
+
 import pytest
 
+from braceletrank import cli, oracle, words
 from braceletrank.oracle import (
     BudgetExceededError,
-    enclosing_counter,
+    _ranker,
     enumerate_class,
     oracle_enclosing,
     oracle_rank,
 )
-from util import all_words, enc, naive_min_rotation
+from util import all_words, dec, enc, naive_min_rotation, necklace_reps
 
 
 def _totient(m):
@@ -67,10 +70,47 @@ def test_enclosing_examples():
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (5, 3)])
-def test_enclosing_counter_matches_scan(n, k):
-    count = enclosing_counter(enumerate_class("necklace", n, k))
+def test_ranker_matches_scan(n, k):
+    ranks = _ranker(n, k)
+    reps = [enumerate_class(kind, n, k) for kind in ("necklace", "palindromic_necklace", "bracelet")]
     for w in all_words(n, k):
-        assert count(w) == len(oracle_enclosing(w, k)), w
+        rn, rp, re, rb = ranks(w)
+        assert re == len(oracle_enclosing(w, k)), w
+        assert [rn, rp, rb] == [bisect_left(r, w) for r in reps], w
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (5, 3)])
+def test_one_scan_per_answer(n, k, monkeypatch, capsys):
+    # each answer scans the k^n words once; all but the necklace set's then
+    # read the reversal's representative once per necklace, N in all
+    calls, real = [], words.min_rotation
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+    monkeypatch.setattr(words, "min_rotation", counted)
+    monkeypatch.setattr(oracle, "min_rotation", counted)
+    v = tuple(i % k for i in range(n))
+    word = f"--alphabet {'abc'[:k]} --word {dec(v)}"
+    length = f"--alphabet {'abc'[:k]} --length {n}"
+    full, necklace_only = k ** n + len(necklace_reps(n, k)), k ** n
+    cases = [(f"rank {word} --use-oracle --breakdown", full), (f"verify {length}", full),
+             (f"enumerate {length} --set bracelet", full),
+             (f"enumerate {length} --set palindromic", full),
+             (f"count {length} --set bracelet --use-oracle", full),
+             (lambda: oracle_enclosing(v, k), full),
+             (f"rank {word} --set necklace --use-oracle", necklace_only),
+             (f"count {length} --set necklace --use-oracle", necklace_only),
+             (f"enumerate {length} --set necklace", necklace_only),
+             (lambda: oracle_rank("necklace", v, k), necklace_only)]
+    for case, want in cases:
+        calls.clear()
+        if callable(case):
+            case()
+        else:
+            assert cli.main(case.split()) == 0, case
+        assert len(calls) == want, case
+    capsys.readouterr()
 
 
 def test_oracle_rank():

@@ -80,6 +80,19 @@ def test_rejects_nonpositive_length(fn, call):
             call(fn, n)
 
 
+# the oracle's entry points, each with the arguments before its budget
+BUDGET_CALLS = [(enumerate_class, ("bracelet", 3, 2)), (oracle_rank, ("bracelet", (0, 1, 1), 2)),
+                (oracle_enclosing, ((0, 1, 1), 2))]
+
+
+@pytest.mark.parametrize("fn,args", BUDGET_CALLS, ids=[f.__name__ for f, _ in BUDGET_CALLS])
+def test_rejects_non_integer_budget(fn, args):
+    for budget in (2.5, True, "9"):
+        with pytest.raises(TypeError, match="budget must be an integer, not"):
+            fn(*args, budget=budget)
+    assert fn(*args, budget=8) == fn(*args)
+
+
 # Each snippet makes one component off by one; the named self-check must
 # catch it.  Run under -O, which strips assert statements.
 OFF_BY_ONE = {
