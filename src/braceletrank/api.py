@@ -23,19 +23,22 @@ its own joint DP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bounding import SubwordTable
 from .enclosing import count_union_upto
 from .errors import check
+from .memo import word_memo
 from .necklace import count_necklaces, count_necklaces_upto
 from .palindromic import count_palindromic_upto, total_palindromic
 from .words import (as_index, bracelet_reps_from, bracelet_representative, floor_necklace, min_rotation,
                     validate_word)
 
-# Floors whose counts are kept, sized on perfbench's rank_small stream
-# (README, "Time and memory per n").
-FLOOR_MEMO = 4096
+# Floors whose counts are kept (memo.word_memo).  Perfbench's rank_small
+# stream misses the memo on 26 % of its words at 4,096 entries, 20 % here,
+# and 19 % when nothing is evicted.  With the joint memo full too, these
+# entries at n = 16 fit in the bytes of the two 4,096-entry lru_caches
+# they replaced (README, "Time and memory per n"; tests/memo_sizing.py).
+FLOOR_MEMO = 24000
 # Largest block of representatives unrank walks instead of probing further;
 # on perfbench's unrank shapes 512 and 1024 tie and 2048 is slower, also
 # with the packed joint DP's cheaper ranks (README).
@@ -62,22 +65,29 @@ class RankBreakdown:
     mirror_adjust: int = 0
 
 
-@lru_cache(maxsize=FLOOR_MEMO)
-def _counts_upto(f: tuple, k: int) -> tuple:
-    """(N, P, E) up to the necklace f, memoised per (f, k): every word with
-    floor f shares them.  P and U, the necklace classes c with <c> <= f or
-    <reverse(c)> <= f, run on f's table, built here once; E = U - N."""
+@word_memo(FLOOR_MEMO)
+def _counts_upto(f: tuple, k: int) -> int:
+    """(N, P, E) up to the necklace f, packed as N + P*2^b + E*2^(2b), and
+    memoised per (f, k): every word with floor f shares them.  Each is at
+    most k^n, n = |f|, so b = n*(k-1).bit_length() + 1 bits hold it.  P and
+    U, the necklace classes c with <c> <= f or <reverse(c)> <= f, run on
+    f's table, built here once; E = U - N."""
     table = SubwordTable(f, k)
     nc, pc, uc = count_necklaces_upto(f, k), count_palindromic_upto(table), count_union_upto(table)
     check((uc + pc) % 2 == 0, f"counts up to the floor out of parity: N={nc} P={pc} U={uc}")
-    return nc, pc, uc - nc
+    b = len(f) * (k - 1).bit_length() + 1
+    check(min(nc, pc, uc - nc) >= 0 and max(nc, pc, uc - nc) >> b == 0,
+          f"counts up to the floor out of range: N={nc} P={pc} U={uc}")
+    return nc | pc << b | (uc - nc) << 2 * b
 
 
 def rank_bracelet(word, k: int) -> RankBreakdown:
     """Rank of word over all bracelets of its length (0-based)."""
     word, k = validate_word(word, k)
     f = floor_necklace(word, k)
-    nc, pc, ec = _counts_upto(f, k)
+    b = len(f) * (k - 1).bit_length() + 1  # the field width _counts_upto packs with
+    counts, mask = _counts_upto(f, k), (1 << b) - 1
+    nc, pc, ec = counts & mask, counts >> b & mask, counts >> 2 * b
     on = f == word
     g = min_rotation(f[::-1]) if on else None
     rn, rp, re = nc - on, pc - (on and g == f), ec - (on and g > f)

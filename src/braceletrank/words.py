@@ -103,11 +103,6 @@ def bracelet_representative(w: Word) -> Word:
     return min(min_rotation(w), min_rotation(w[::-1]))
 
 
-def is_palindromic_necklace(w: Word) -> bool:
-    """True iff w's rotation class coincides with its reflected class."""
-    return min_rotation(w) == min_rotation(w[::-1])
-
-
 def _failure(v: Word) -> list:
     """KMP failure function; fail[j] = longest proper border of v[:j]."""
     m = len(v)

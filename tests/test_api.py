@@ -14,7 +14,9 @@ import pytest
 import braceletrank
 from braceletrank import api, enclosing, necklace, words
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
+from braceletrank.memo import word_memo
 from braceletrank.oracle import oracle_rank
+from memo_sizing import filled_bytes
 from util import bracelet_reps, enc, is_necklace, naive_min_rotation
 
 
@@ -367,7 +369,9 @@ def test_memo_reuse_is_order_free(n, k):
         assert [bd.rn, bd.rp, bd.re, bd.rb] == want, w
 
 
-def test_threads_share_memos_and_tables():
+def _threads_rank_as_one():
+    """Four threads rank overlapping word lists at once, on memos emptied
+    first, and each gets the answers of a single thread."""
     rng = random.Random(17)
     pool = []
     for _ in range(200):
@@ -399,3 +403,82 @@ def test_threads_share_memos_and_tables():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == want
+
+
+def test_threads_share_memos_and_tables():
+    _threads_rank_as_one()
+
+
+def test_threads_share_evicting_memos(monkeypatch):
+    # the same with memos of 8 and 6 entries, whose generations turn over
+    # many times while the threads rank 186 distinct words
+    monkeypatch.setattr(api._counts_upto, "maxsize", 8)
+    monkeypatch.setattr(enclosing._joint, "maxsize", 6)
+    _threads_rank_as_one()
+    for memo in api._counts_upto, enclosing._joint:
+        info = memo.cache_info()
+        assert info.misses > 10 * info.maxsize and info.currsize <= info.maxsize
+
+
+def test_memo_generations():
+    # two generations of two entries: a hit in the old one moves it to the
+    # young one, and a turn drops what the old one still holds
+    calls = []
+
+    @word_memo(4)
+    def ident(w, k):
+        calls.append(w)
+        return w[0]
+
+    sizes = []
+    for x in (0, 1, 2, 0, 3, 4, 1, 0):
+        assert ident((x,), 5) == x
+        sizes.append(ident.cache_info().currsize)
+    # young {0, 1} -> 2 turns: old {0, 1}, young {2}; 0 moves: old {1},
+    # young {2, 0}; 3 turns: old {2, 0}, young {3}, and 1 is dropped; 4:
+    # young {3, 4}; 1 misses and turns: old {3, 4}, young {1}, and 0 is
+    # dropped, so the last 0 misses too
+    assert calls == [(0,), (1,), (2,), (3,), (4,), (1,), (0,)]
+    assert sizes == [1, 2, 3, 3, 3, 4, 3, 4]
+    assert ident.cache_info() == (1, 7, 4, 4)
+    # a bytes key keeps k, and a symbol or k above a byte keeps the tuple
+    assert [ident((9,), k) for k in (10, 11, 300)] == [9, 9, 9]
+    assert [ident((300,), 301), ident((300, 0), 301)] == [300, 300]
+    assert calls[-5:] == [(9,), (9,), (9,), (300,), (300, 0)]
+    ident.cache_clear()
+    assert ident.cache_info() == (0, 0, 4, 0)
+
+
+def test_evicting_memos_rank_exactly(monkeypatch):
+    # memos of 6 and 4 entries evict all the time; every breakdown equals
+    # the oracle's where it reaches and a rank from empty memos elsewhere,
+    # across k = 1..4 and a word with symbols beyond one byte (k = 300)
+    rng = random.Random(31)
+    ws = [(tuple(rng.randrange(k) for _ in range(rng.randrange(1, 9))), k)
+          for k in (1, 2, 3, 4) for _ in range(12)]
+    ws.append(((299, 3, 280, 0, 3, 256), 300))
+    rng.shuffle(ws)
+    want = []
+    for w, k in ws:
+        _clear_memos()
+        want.append(rank_bracelet(w, k))
+        if k ** len(w) <= 4096:
+            assert [want[-1].rn, want[-1].rp, want[-1].re, want[-1].rb] == [
+                oracle_rank(kind, w, k) for kind in ("necklace", "palindromic_necklace", "enclosing", "bracelet")]
+    monkeypatch.setattr(api._counts_upto, "maxsize", 6)
+    monkeypatch.setattr(enclosing._joint, "maxsize", 4)
+    _clear_memos()
+    for _ in range(2):
+        for (w, k), bd in zip(ws, want):
+            assert rank_bracelet(w, k) == bd
+            for memo in api._counts_upto, enclosing._joint:
+                assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    assert api._counts_upto.cache_info().misses > len(set(ws))
+
+
+@pytest.mark.parametrize("n,k,mib", [(16, 4, 3.7), (200, 2, 10.2)])
+def test_memo_bytes_when_full(n, k, mib):
+    # both memos at capacity, with the entry widths of real counts at
+    # (n, k) and keys of length n, stay within README's worst case
+    floor, joint = filled_bytes(n, k)
+    assert floor + joint <= mib * 2 ** 20, f"{(floor + joint) / 2 ** 20:.2f} MiB"

@@ -102,6 +102,14 @@ real = m.count_union_upto
 m.count_union_upto = lambda table: real(table) + 1
 m.rank_bracelet((0, 1, 1, 0, 1), 2)
 """,
+    # E = U - N past its field of the floor memo's int (n = 5, k = 2: six
+    # bits), by an even amount, so that the parity check passes
+    "rank_range": """
+import braceletrank.api as m
+real = m.count_union_upto
+m.count_union_upto = lambda table: real(table) + 2 ** 6
+m.rank_bracelet((0, 1, 1, 0, 1), 2)
+""",
     "mobius_divisibility": """
 import braceletrank.necklace as m
 real = m._rotation_dp
@@ -202,6 +210,7 @@ m.rank_palindromic((0, 0, 1, 0, 1, 1), 2)
 MESSAGES = {"prepend_rows": "a strictly bounded doubled word became a subword",
             "prenecklace_palindromic": "the pattern is not a prenecklace",
             "rank_parity": "counts up to the floor out of parity",
+            "rank_range": "counts up to the floor out of range",
             "unrank_walk": "representatives where the ranks count",
             "unrank_walk_filter": "walked 14 representatives where the ranks count 13"}
 

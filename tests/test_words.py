@@ -12,13 +12,12 @@ from braceletrank.words import (
     bracelet_reps_from,
     bracelet_representative,
     floor_necklace,
-    is_palindromic_necklace,
     lyndon_prefix,
     min_rotation,
 )
 from reference import chains
-from util import (all_words, bracelet_reps, enc, is_necklace, lyndon_prefix_length, match_state,
-                  naive_min_rotation, necklace_reps, period, prenecklaces, rotations)
+from util import (all_words, bracelet_reps, enc, is_necklace, is_palindromic_necklace, lyndon_prefix_length,
+                  match_state, naive_min_rotation, necklace_reps, period, prenecklaces, rotations)
 
 
 def test_alphabet_roundtrip():

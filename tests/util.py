@@ -33,6 +33,11 @@ def necklace_reps(n, k):
     return sorted(w for w in all_words(n, k) if w == naive_min_rotation(w))
 
 
+def is_palindromic_necklace(w):
+    """True iff w's rotation class coincides with its reflected class."""
+    return naive_min_rotation(w) == naive_min_rotation(w[::-1])
+
+
 def palindromic_reps(n, k):
     return [w for w in necklace_reps(n, k)
             if naive_min_rotation(w[::-1]) == w]
