@@ -28,10 +28,9 @@ from .bounding import SubwordTable
 from .enclosing import count_union_upto
 from .errors import check
 from .memo import word_memo
-from .necklace import count_necklaces, count_necklaces_upto
+from .necklace import count_necklaces, count_necklaces_upto, floor_of
 from .palindromic import count_palindromic_upto, total_palindromic
-from .words import (as_index, bracelet_reps_from, bracelet_representative, floor_necklace, min_rotation,
-                    validate_word)
+from .words import as_index, bracelet_reps_from, bracelet_representative, validate_length
 
 # Floors whose counts are kept (memo.word_memo).  Perfbench's rank_small
 # stream misses the memo on 26 % of its words at 4,096 entries, 20 % here,
@@ -83,16 +82,12 @@ def _counts_upto(f: tuple, k: int) -> int:
 
 def rank_bracelet(word, k: int) -> RankBreakdown:
     """Rank of word over all bracelets of its length (0-based)."""
-    word, k = validate_word(word, k)
-    f = floor_necklace(word, k)
+    word, k, f, cut = floor_of(word, k)
     b = len(f) * (k - 1).bit_length() + 1  # the field width _counts_upto packs with
     counts, mask = _counts_upto(f, k), (1 << b) - 1
     nc, pc, ec = counts & mask, counts >> b & mask, counts >> 2 * b
-    on = f == word
-    g = min_rotation(f[::-1]) if on else None
-    rn, rp, re = nc - on, pc - (on and g == f), ec - (on and g > f)
-    rb = (nc + pc + ec) // 2 - (on and g >= f)
-    return RankBreakdown(word, len(word), k, rn, rp, re, rb, int(on and g < f))
+    rb = (nc + pc + ec) // 2 - cut[3]
+    return RankBreakdown(word, len(word), k, nc - cut[0], pc - cut[1], ec - cut[2], rb, cut[0] - cut[3])
 
 
 def count_bracelets(n: int, k: int) -> int:
@@ -108,8 +103,8 @@ def unrank_bracelet(z: int, n: int, k: int) -> tuple:
     once upto - below <= WALK_BLOCK, the walk streams the block, which
     must hold exactly that many, and the answer is its (z - below)-th."""
     z = as_index(z, "rank")
-    total = count_bracelets(n, k)  # checks n and k
-    n, k = as_index(n), as_index(k)
+    n, k = validate_length(n, k)
+    total = count_bracelets(n, k)
     if not 0 <= z < total:
         raise ValueError(f"rank {z} out of range [0, {total})")
     prefix, below, upto = (), 0, total

@@ -61,7 +61,7 @@ class SubwordTable:
     itself (necklace._rotation_dp), so the table keeps none.
 
     Attributes:
-        p: the pattern word (tuple of symbol indices)
+        p: the pattern word, a non-empty tuple over range(k), unchecked
         n, k: pattern length and alphabet size
         ext, order: p + p, and the rotation starts of p sorted by rotation
         grp[l][r]: index in S(p, l) of the length-l prefix of the rotation
@@ -116,10 +116,6 @@ class SubwordTable:
     """
 
     def __init__(self, p, k: int):
-        if len(p) == 0:
-            raise ValueError("empty pattern")
-        if any(x < 0 or x >= k for x in p):
-            raise ValueError("symbol index out of range")
         self.p = p = tuple(p)
         self.k = k
         self.n = n = len(p)

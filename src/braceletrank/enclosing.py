@@ -1,14 +1,14 @@
 """Count bracelets that enclose a word.
 
 A bracelet encloses v when its two necklace representatives straddle v
-strictly: <b> < v < <reverse(b)>.  No representative lies in (f, v], f the
-floor of v (the largest necklace representative <= v), so the bracelets
-enclosing v are those with <b> <= f < <reverse(b)>, less the bracelet of f
-itself when f = v and f is its smaller representative.  Reversal maps the
-smaller classes of those bracelets one-to-one onto the necklace classes c
-with <c> > f >= <reverse(c)>, so they number U - N: U the classes with
-<c> <= f or <reverse(c)> <= f, and N those with <c> <= f (the necklace
-module's count).  Writing <c> as a Lyndon power decomposes U over the
+strictly: <b> < v < <reverse(b)>.  With f the floor of v
+(necklace.floor_of), the bracelets enclosing v are those with <b> <= f <
+<reverse(b)>, less the bracelet of f itself when f = v and f is its
+smaller representative.  Reversal maps the smaller classes of those
+bracelets one-to-one onto the necklace classes c with <c> > f >=
+<reverse(c)>, so they number U - N: U the classes with <c> <= f or
+<reverse(c)> <= f, and N those with <c> <= f (the necklace module's
+count).  Writing <c> as a Lyndon power decomposes U over the
 periods P | n; Mobius inversion turns each term into word counts
 
     U(d) = #{ w in Sigma^d : min-rotation(w)^(n/d) <= f
@@ -38,8 +38,8 @@ from itertools import accumulate
 from .bounding import SubwordTable, cached_table
 from .errors import check
 from .memo import word_memo
-from .necklace import classes_of_length, count_necklaces_upto
-from .words import _failure, floor_necklace, lyndon_prefix, min_rotation, validate_word
+from .necklace import classes_of_length, count_necklaces_upto, floor_of
+from .words import _failure, lyndon_prefix
 
 # Prefixes whose joint count J(p) is kept (memo.word_memo).  Perfbench's
 # streams hit it 92 % of the time, and 93 % at 16,384 entries, whose bytes
@@ -142,13 +142,10 @@ def count_union_upto(table: SubwordTable) -> int:
 
 def rank_enclosing(v, k: int) -> int:
     """Number of distinct bracelets [b] with <b> < v < <reverse(b)>: those
-    with <b> <= f < <reverse(b)>, f the floor of v (the largest necklace
-    representative <= v), less the bracelet of f itself when f = v and f is
-    its smaller representative, as no representative lies in (f, v]."""
-    v, k = validate_word(v, k)
-    f = floor_necklace(v, k)
-    return (count_union_upto(SubwordTable(f, k)) - count_necklaces_upto(f, k)
-            - (f == v and min_rotation(f[::-1]) > f))
+    with <b> <= f < <reverse(b)>, f the floor of v, less the bracelet of f
+    itself when f = v and f is its smaller representative."""
+    _, k, f, cut = floor_of(v, k)
+    return count_union_upto(SubwordTable(f, k)) - count_necklaces_upto(f, k) - cut[2]
 
 
 # --- diagnostic suffix-state layers ----------------------------------------

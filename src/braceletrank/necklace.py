@@ -2,11 +2,12 @@
 
 The rank of a word v is the number of representatives <= its floor f, the
 largest necklace representative <= v, less f itself when f = v: no
-representative lies in (f, v].  Necklace representatives of length n are
-exactly the powers c^(n/e) of Lyndon words c with e | n, so the count up to
-f decomposes over divisors and the per-divisor terms reduce, by Mobius
-inversion, to counts of words all of whose rotations lie above the prefix
-p = f[:d], a prenecklace (a prefix of a necklace).  That last count
+representative lies in (f, v] (floor_of, the floor step of every rank).
+Necklace representatives of length n are exactly the powers c^(n/e) of
+Lyndon words c with e | n, so the count up to f decomposes over divisors
+and the per-divisor terms reduce, by Mobius inversion, to counts of words
+all of whose rotations lie above the prefix p = f[:d], a prenecklace (a
+prefix of a necklace).  That last count
 counts closed walks on p's matching automaton, along which the symbols of p
 are the forced ones.
 """
@@ -14,7 +15,7 @@ are the forced ones.
 from __future__ import annotations
 
 from .errors import check
-from .words import alphabet_size, as_index, floor_necklace, lyndon_prefix, validate_word
+from .words import floor_necklace, lyndon_prefix, min_rotation, validate_length, validate_word
 
 
 def divisors(n: int) -> list:
@@ -84,9 +85,7 @@ def classes_of_length(n: int, term) -> int:
 def count_necklaces(n: int, k: int) -> int:
     """Number of necklaces of length n over k symbols: (1/n) * sum over
     d | n of phi(d) * k^(n/d), summed as the Lyndon words of lengths e | n."""
-    n, k = as_index(n, "length"), alphabet_size(k)
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    n, k = validate_length(n, k)
     return classes_of_length(n, lambda d: k ** d)
 
 
@@ -99,10 +98,24 @@ def count_necklaces_upto(f, k: int) -> int:
     return classes_of_length(len(f), lambda d: k ** d - _rotation_dp(f[:d], k))
 
 
-def rank_necklaces(v, k: int) -> int:
-    """Number of necklace representatives of length |v| strictly below v:
-    those up to its floor f, the largest one <= v, less f when f = v, as
-    none lies in (f, v]."""
+def floor_of(v, k) -> tuple:
+    """The floor step of every public rank: (v, k, f, cut), v and k as
+    validate_word returns them and f = floor_necklace(v, k), each run once.
+    No necklace representative lies in (f, v], and each of the four sets
+    compares v with necklace representatives alone, so each rank is its
+    count up to f less cut[i], the amount that counts f itself.  For the
+    necklace, palindromic, enclosing and bracelet ranks in turn, cut is
+    (1, g == f, g > f, g >= f) when f = v, g = min_rotation(reverse(f)),
+    read only then, and all 0 when f < v."""
     v, k = validate_word(v, k)
     f = floor_necklace(v, k)
-    return count_necklaces_upto(f, k) - (f == v)
+    if f != v:
+        return v, k, f, (0, 0, 0, 0)
+    g = min_rotation(f[::-1])
+    return v, k, f, (1, g == f, g > f, g >= f)
+
+
+def rank_necklaces(v, k: int) -> int:
+    """Number of necklace representatives of length |v| strictly below v."""
+    _, k, f, cut = floor_of(v, k)
+    return count_necklaces_upto(f, k) - cut[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 
-from .words import alphabet_size, as_index, min_rotation, validate_word
+from .words import as_index, min_rotation, validate_length, validate_word
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -28,9 +28,7 @@ class BudgetExceededError(Exception):
 def _necklaces(n, k, budget) -> list:
     """Sorted necklace representatives of length n over k symbols, after
     checking n, k and the budget of k^n words."""
-    n, k = as_index(n, "length"), alphabet_size(k)
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    n, k = validate_length(n, k)
     budget = DEFAULT_BUDGET if budget is None else as_index(budget, "budget")
     if k ** n > budget:
         raise BudgetExceededError(f"{k}^{n} words exceed budget {budget}")

@@ -31,9 +31,8 @@ The forms take the SubwordTable of a necklace representative v.  size_PS
 is the walk at length n; size_PO_PE is the walk at length n-1 plus one
 appended symbol, a rotation of phi.x.reverse(phi) at odd n and of
 x.phi.y.reverse(phi) at even n.  count_palindromic_upto runs the forms on
-a necklace f's table, passed down.  rank_palindromic checks its input
-and floors it once to f, which leaves every "classes above" count
-unchanged, counts up to f, and subtracts f itself when f = v is
+a necklace f's table, passed down.  rank_palindromic counts up to the
+floor f of its input (necklace.floor_of), less f itself when f = v is
 palindromic.
 """
 
@@ -41,7 +40,8 @@ from __future__ import annotations
 
 from .bounding import SubwordTable
 from .errors import InternalError, check
-from .words import alphabet_size, as_index, floor_necklace, lyndon_prefix, min_rotation, validate_word
+from .necklace import floor_of
+from .words import lyndon_prefix, min_rotation, validate_length
 
 
 def _grow(table, states, l, app, pre=None):
@@ -115,9 +115,7 @@ def total_palindromic(n: int, k: int) -> int:
     """Number of palindromic necklace classes of length n over k symbols:
     the reflection average (k^ceil(n/2) + k^(floor(n/2)+1)) / 2 of
     ERRATA #2."""
-    n, k = as_index(n, "length"), alphabet_size(k)
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    n, k = validate_length(n, k)
     return (k ** ((n + 1) // 2) + k ** (n // 2 + 1)) // 2
 
 
@@ -132,12 +130,9 @@ def count_palindromic_upto(table) -> int:
 
 
 def rank_palindromic(v, k: int) -> int:
-    """Number of palindromic necklace representatives strictly below v:
-    those not above its floor f, the largest necklace representative <= v,
-    less f when f = v and f is palindromic, as none lies in (f, v]."""
-    v, k = validate_word(v, k)
-    f = floor_necklace(v, k)
-    return count_palindromic_upto(SubwordTable(f, k)) - (f == v and min_rotation(f[::-1]) == f)
+    """Number of palindromic necklace representatives strictly below v."""
+    _, k, f, cut = floor_of(v, k)
+    return count_palindromic_upto(SubwordTable(f, k)) - cut[1]
 
 
 # --- diagnostic layer dumps -------------------------------------------------

@@ -63,6 +63,15 @@ def alphabet_size(k) -> int:
     return k
 
 
+def validate_length(n, k):
+    """The input check of every public entry point that takes a length:
+    returns (n, k), ints with n >= 1 and k >= 1, checked as by as_index."""
+    n, k = as_index(n, "length"), alphabet_size(k)
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return n, k
+
+
 def validate_word(word, k):
     """The input check of every public entry point that takes a word:
     returns (word, k) with k an int >= 1 and word a non-empty tuple of ints
@@ -79,16 +88,12 @@ def validate_word(word, k):
     return word, k
 
 
-def _check_nonempty(w: Word):
-    if len(w) == 0:
-        raise ValueError("empty word")
-
-
 def min_rotation(w: Word) -> Word:
     """Lexicographically smallest rotation: Duval's Lyndon factorisation
     of w + w, one lyndon_prefix scan per run of equal factors, where it
     starts at the last such run that begins before |w|."""
-    _check_nonempty(w)
+    if not w:
+        raise ValueError("empty word")
     n, s = len(w), w + w
     i = best = 0
     while i < n:
@@ -191,11 +196,9 @@ def floor_necklace(w: Word, k: int) -> Word:
     first differs from it at or before w[p-1], the last symbol that rose
     above its copy: lowering a copied symbol leaves the prenecklaces.  So
     the floor of w is the floor of w with w[p-1] lowered by one and every
-    later symbol raised to k-1.
+    later symbol raised to k-1.  w is taken unchecked, a non-empty word
+    over range(k) as validate_word returns it.
     """
-    _check_nonempty(w)
-    if any(x < 0 or x >= k for x in w):
-        raise ValueError("symbol index out of range")
     w, n = list(w), len(w)
     while True:
         p, i = lyndon_prefix(w)

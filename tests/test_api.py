@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import braceletrank
-from braceletrank import api, enclosing, necklace, words
+from braceletrank import api, enclosing, necklace, palindromic, words
 from braceletrank.api import count_bracelets, rank_bracelet, unrank_bracelet
 from braceletrank.memo import word_memo
 from braceletrank.oracle import oracle_rank
@@ -125,12 +125,17 @@ def test_mirror_adjust_boundary_case():
     assert bd.rb == bisect_left(bracelet_reps(3, 3), enc("acb"))
 
 
-# one rank checks and floors its word once, and reverses only a word that
-# is its own floor: a non-necklace word, the smaller and the larger
-# representative of an apalindromic bracelet, and a palindromic necklace.
-# On cold memos it computes A(f[:d]) once per divisor d of n.
+# every public rank checks and floors its word once, and reverses only a
+# word that is its own floor: a non-necklace word, the smaller and the
+# larger representative of an apalindromic bracelet, and a palindromic
+# necklace.  On cold memos rank_bracelet computes A(f[:d]) once per divisor
+# d of n, and reverses every necklace once.
 @pytest.mark.parametrize("text,k", [("cab", 3), ("abc", 3), ("acb", 3), ("aabb", 2)])
 def test_rank_checks_and_floors_once(text, k, monkeypatch):
+    single = [(necklace.rank_necklaces, "necklace"), (enclosing.rank_enclosing, "enclosing"),
+              (palindromic.rank_palindromic, "palindromic_necklace")]
+    # read before the counters go in, which would count the oracle's reversals
+    want = [oracle_rank(kind, enc(text), k) for _, kind in single]
     api._counts_upto.cache_clear()
     enclosing._joint.cache_clear()
     calls = Counter()
@@ -155,6 +160,11 @@ def test_rank_checks_and_floors_once(text, k, monkeypatch):
     assert calls["validate_word"] == calls["floor_necklace"] == 1
     assert calls["_rotation_dp"] == len(necklace.divisors(len(text)))
     assert calls["min_rotation"] == (1 if is_necklace(enc(text)) else 0)
+    for (rank, _), answer in zip(single, want):
+        calls.clear()
+        assert rank(enc(text), k) == answer, rank.__name__
+        assert calls["validate_word"] == calls["floor_necklace"] == 1, rank.__name__
+        assert calls["min_rotation"] <= is_necklace(enc(text)), rank.__name__
 
 
 def test_top_word_consistency():

@@ -145,6 +145,10 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "unrank", "--alphabet", "ab", "--length", "8",
                        "--index", "99")
     assert code == 1
+    # the tables verb's only gate is Alphabet.encode: SubwordTable checks nothing
+    assert run(capsys, "tables", "--alphabet", "ab", "--word", "abc") == (
+        1, "", "error: word 'abc' uses symbols outside alphabet 'ab'\n")
+    assert run(capsys, "tables", "--alphabet", "ab", "--word", "") == (1, "", "error: empty word\n")
 
 
 @pytest.mark.parametrize("case", GOLDEN_TABLES, ids=lambda c: " ".join(c["argv"][4:]))

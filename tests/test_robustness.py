@@ -27,11 +27,14 @@ WORD_CALLS = [(f, lambda f, a: f(a, 2)) for f in (rank_bracelet, rank_necklaces,
 WORD_CALLS.append((oracle_rank, lambda f, a: f("bracelet", a, 2)))
 LENGTH_CALLS = [(f, lambda f, a: f(a, 2)) for f in (count_bracelets, count_necklaces,
                                                     total_palindromic)]
-LENGTH_CALLS.append((enumerate_class, lambda f, a: f("bracelet", a, 2)))
+LENGTH_CALLS += [(enumerate_class, lambda f, a: f("bracelet", a, 2)),
+                 (unrank_bracelet, lambda f, a: f(5, a, 2))]
 CALLS = ([(f, call, (0, 1, 1)) for f, call in WORD_CALLS]
          + [(f, call, 6) for f, call in LENGTH_CALLS]
          + [(unrank_bracelet, lambda f, a: f(a, 6, 2), 5)])
 ENTRY_IDS = [f.__name__ for f, _, _ in CALLS]
+# unrank_bracelet appears twice, its length varied first, then its rank
+ENTRY_IDS[ENTRY_IDS.index("unrank_bracelet")] += "_length"
 # the arguments before the alphabet size, where they are not one word
 LEADING_ARGS = {count_bracelets: (6,), count_necklaces: (6,), total_palindromic: (6,),
                 oracle_rank: ("bracelet", (0, 1, 1)), enumerate_class: ("bracelet", 6),
