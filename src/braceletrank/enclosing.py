@@ -93,13 +93,14 @@ def _joint_count(table: SubwordTable) -> int:
         nxt, get = {0: reset}, reset.get
         for r, rev in states.items():
             fr = p[r]
-            if l == d:  # the last symbol closes the last block
+            if l == d and r:  # the last symbol closes the last block (weight 1 at r = 0)
                 rev = {b: v * (r + 1) for b, v in rev.items()}
             for x in range(fr + 1, k):
                 row = rows[x]
                 for b, v in rev.items():
                     nb = row[b]
-                    reset[nb] = get(nb, 0) + v
+                    o = get(nb)  # store v itself on first insert: no copy
+                    reset[nb] = v if o is None else o + v
             if l < d:
                 row, tgt = rows[fr], {}
                 tget = tgt.get
@@ -109,7 +110,8 @@ def _joint_count(table: SubwordTable) -> int:
                             continue
                         v = 1 << off[l]  # one word: its rotation at the front opens
                     nb = row[b]
-                    tgt[nb] = tget(nb, 0) + v
+                    o = tget(nb)
+                    tgt[nb] = v if o is None else o + v
                 nxt[r + 1] = tgt
         states = nxt
     final = states[0]

@@ -58,16 +58,19 @@ def _grow(table, states, l, app, pre=None):
     nxt = {0: reset}
     for j, words in states.items():
         pj, adv = p[j], nxt.setdefault(j + 1, {})
-        for code, c in words.items():
-            for x in range(pj, k):
-                st = app[x][code]
-                if pre is not None:
-                    st = pre[x][st]
+        for x in range(pj, k):  # one symbol's rows and target per match
+            arow, prow = app[x], None if pre is None else pre[x]
+            tgt = adv if x == pj else reset
+            get = tgt.get
+            for code, c in words.items():
+                st = arow[code]
+                if prow is not None:
+                    st = prow[st]
                     if st & 1 > code & 1:
                         raise InternalError("a strictly bounded doubled word became a subword")
                 if st > prefix:
-                    tgt = adv if x == pj else reset
-                    tgt[st] = tgt.get(st, 0) + c
+                    o = get(st)  # stored on first insert, added on a collision
+                    tgt[st] = c if o is None else o + c
                 elif st == prefix:
                     nxt.setdefault(l, {})[st] = c
     return nxt
